@@ -215,6 +215,11 @@ def vm_hwm_mb(pid: int) -> float:
     raise RuntimeError(f"/proc/{pid}/status has no VmHWM line")
 
 
+def reset_peak_rss() -> None:
+    """Set this process's ``VmHWM`` back to its current resident set."""
+    Path("/proc/self/clear_refs").write_text("5")
+
+
 def process_tree(pid: int) -> List[int]:
     """``pid`` and all its live descendants."""
     out = [pid]

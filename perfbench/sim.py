@@ -1,10 +1,8 @@
 """Offline workload ``sim-six``: ``run_simulation`` over all six protocols.
 
-Each trial runs encode → absorb → merge → finalize for every registered
-protocol through :func:`repro.engine.run_simulation` with two workers, then
-queries each finalized estimator.  No server, transport or router is
-involved: the encoders, the engine's process pool and packed-state channel,
-and finalize are the whole job.
+A trial runs encode → absorb → merge → finalize for every registered
+protocol through :func:`repro.engine.run_simulation`, then times analyst
+rounds against the finalized estimators.
 """
 
 from __future__ import annotations
@@ -24,27 +22,22 @@ PROTOCOLS = ("explicit", "hashtogram", "cms", "rappor", "expander_sketch",
 HEAVY_HITTER_PROTOCOLS = ("expander_sketch", "single_hash")
 #: domain of the small-domain protocols (explicit histogram, RAPPOR)
 SMALL_DOMAIN = 1 << 10
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    name: str = "sim-six"
-    num_users: int = 1_000_000
-    domain_size: int = 1 << 16
-    workers: int = 2
-    trials: int = 2
-    #: analyst query rounds per trial; a round reads all six estimators and
-    #: is one latency sample
-    query_rounds: int = 50
-    warmup_rounds: int = 5
-    #: items per estimator per round: enough work (~1.5 ms a round) that a
-    #: scheduler hiccup does not set the tail
-    num_query_items: int = 1024
-    #: RAPPOR decodes by least squares against a candidate list; its cost
-    #: grows with the list, so it gets a short one of its own
-    rappor_candidates: int = 32
-    setup_repeats: int = 9
-    planted: Tuple[float, ...] = (0.1, 0.08, 0.06)
+DOMAIN_SIZE = 1 << 16
+WORKERS = 2
+PLANTED = (0.1, 0.08, 0.06)
+#: parameter builds timed in each of a run's three set-up groups
+#: (``setup_s`` reports the median of all of them)
+SETUP_REPEATS = 7
+#: analyst rounds per trial; a round reads all six estimators and is one
+#: latency sample.  The first rounds fill the caches and are not timed.
+QUERY_ROUNDS = 40
+WARMUP_ROUNDS = 3
+#: items per estimator per round: half the large domain, so one round is
+#: ~25 ms of work and a brief stall of the host moves few samples
+NUM_QUERY_ITEMS = 1 << 15
+#: RAPPOR decodes by least squares against a candidate list; its cost
+#: grows with the list, so it gets a shorter one of its own
+RAPPOR_CANDIDATES = 256
 
 
 @dataclass
@@ -57,23 +50,23 @@ class SimInputs:
     params_seed: int
 
 
-def make_inputs(config: SimConfig, seed: int) -> SimInputs:
+def make_inputs(num_users: int, seed: int) -> SimInputs:
     from repro.workloads.distributions import planted_workload
 
     gen = np.random.default_rng(seed)
-    big = planted_workload(config.num_users, config.domain_size,
-                           heavy_fractions=list(config.planted), rng=gen)
-    small = planted_workload(config.num_users, SMALL_DOMAIN,
-                             heavy_fractions=list(config.planted), rng=gen)
+    big = planted_workload(num_users, DOMAIN_SIZE,
+                           heavy_fractions=list(PLANTED), rng=gen)
+    small = planted_workload(num_users, SMALL_DOMAIN,
+                             heavy_fractions=list(PLANTED), rng=gen)
     values, planted, queries = {}, {}, {}
     for protocol in PROTOCOLS:
         workload = small if protocol in ("explicit", "rappor") else big
         domain = SMALL_DOMAIN if protocol in ("explicit", "rappor") \
-            else config.domain_size
+            else DOMAIN_SIZE
         values[protocol] = workload.values
         planted[protocol] = tuple(int(x) for x in workload.heavy_elements)
-        size = (config.rappor_candidates if protocol == "rappor"
-                else config.num_query_items)
+        size = (RAPPOR_CANDIDATES if protocol == "rappor"
+                else NUM_QUERY_ITEMS)
         probes = gen.integers(0, domain, size=size - len(planted[protocol]))
         queries[protocol] = [*planted[protocol], *(int(x) for x in probes)]
     return SimInputs(values=values, planted=planted, queries=queries,
@@ -81,7 +74,7 @@ def make_inputs(config: SimConfig, seed: int) -> SimInputs:
                      params_seed=int(gen.integers(0, 2**63 - 1)))
 
 
-def build_params(config: SimConfig, seed: int) -> Dict[str, object]:
+def build_params(num_users: int, seed: int) -> Dict[str, object]:
     """The six public parameter sets (the workload's set-up)."""
     from repro.baselines.single_hash import SingleHashHeavyHitters
     from repro.core.heavy_hitters import PrivateExpanderSketch
@@ -89,7 +82,7 @@ def build_params(config: SimConfig, seed: int) -> Dict[str, object]:
     from repro.protocol import ExplicitHistogramParams, RapporParams
 
     gen = np.random.default_rng(seed)
-    n, domain = config.num_users, config.domain_size
+    n, domain = num_users, DOMAIN_SIZE
     return {
         "explicit": ExplicitHistogramParams(SMALL_DOMAIN, 1.0),
         "hashtogram": build_bench_params("hashtogram", domain, 1.0, n,
@@ -121,8 +114,8 @@ class SimTrial:
     estimators: Dict[str, object]
 
 
-def run_trial(config: SimConfig, params: Dict[str, object],
-              inputs: SimInputs, workers: int, tracer: Tracer) -> SimTrial:
+def run_trial(params: Dict[str, object], inputs: SimInputs, workers: int,
+              tracer: Tracer) -> SimTrial:
     """One job: six protocols from values in hand to finalized estimators."""
     from repro.engine import run_simulation
 
@@ -147,13 +140,13 @@ def run_trial(config: SimConfig, params: Dict[str, object],
     gc.collect()
     answers: Dict[str, np.ndarray] = {}
     query_ms: List[float] = []
-    for round_index in range(config.warmup_rounds + config.query_rounds):
+    for round_index in range(WARMUP_ROUNDS + QUERY_ROUNDS):
         begin = time.perf_counter()
         for protocol in PROTOCOLS:
             with tracer.span("protocol.query"):
                 answers[protocol] = answer(estimators[protocol], protocol,
                                            inputs.queries[protocol])
-        if round_index >= config.warmup_rounds:
+        if round_index >= WARMUP_ROUNDS:
             query_ms.append((time.perf_counter() - begin) * 1000.0)
     return SimTrial(job_s=job_s, ingest_s=ingest, merge_s=merge,
                     finalize_s=finalize, answers=answers, query_ms=query_ms,

@@ -13,20 +13,23 @@ End-to-end metrics (``--trace 0``), for every workload:
 ``query_p50_ms`` / ``query_tail_ms``
     served: merged ``query`` calls (``hh-cluster`` closed loop after
     ingest, ``freq-stream`` open loop during ingest, timed from the
-    intended send time); ``sim-six``: one analyst round reading every
-    finalized estimator.  The tail is the highest percentile with at least
-    ten samples beyond it; the header line records which.
+    intended send time); ``sim-six``: one analyst round reading half the
+    domain from every finalized estimator.  The tail is the highest
+    percentile with at least ten samples beyond it; the header line records
+    which.
 ``job_s``
     served: first byte sent → the streaming client's last answer (its
     closed-loop queries, then one settled query); ``sim-six``: values in
     hand → six finalized estimators.  Median over trials.
 ``peak_rss_mb``
     served: summed ``VmHWM`` of the router and its shards; ``sim-six``: the
-    benchmark process plus its largest pool worker.
+    benchmark process over the measured trials (its peak is reset after
+    the 1-worker reference job) plus its largest pool worker.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import resource
@@ -40,6 +43,7 @@ from perfbench.common import (
     Ledger,
     Tracer,
     median,
+    reset_peak_rss,
     tail_percentile,
     tail_value,
     vm_hwm_mb,
@@ -76,46 +80,41 @@ def served_config(name: str, seconds: int, smoke: bool = False
     fail the recovery gate rather than test the benchmark.
     """
     if name == "hh-cluster":
-        # ~0.9 s per merged query at this size: the queries are most of the
-        # run, and their count fixes the tail percentile (p66.7 at 30).  One
+        # ~1 s per merged query at this size: the queries are most of the
+        # run, and their count fixes the tail percentile (p60 at 25).  One
         # deployment per run: tearing down 1.7 GB of shard and router state
         # costs seconds that measure nothing.
         return served.ServedConfig(
             name=name, protocol="expander_sketch", num_users=200_000,
-            transport="tcp", trials=1, queries_per_trial=max(11, seconds),
+            trials=1, queries_per_trial=max(11, seconds - 5),
             planted=(0.1, 0.08, 0.06))
     if name == "freq-stream":
-        # The deployment checkpoints every 2^25 reports per shard, above the
-        # ~20M a shard takes in five passes, so no checkpoint falls inside
-        # the measured passes: at the default
-        # 65,536 each checkpoint is an fsync, and this host's fsync latency
-        # swings 2x from minute to minute, which made ingest and query
-        # figures spread 22-32% from run to run.  Each pass streams the 8M
-        # reports again (~0.1 s); the open-loop queries start with the
-        # first pass and run on for 3 s, so about a sixth of them meet the
-        # writes: the median is read latency on a quiet cluster, the tail is
-        # read latency under writes.
+        # Each pass streams the 8M reports again (~0.25 s), and the 40
+        # open-loop queries span the first two seconds, so every query meets
+        # the writes: p50 and tail are both read latency under writes, one
+        # population.  A checkpoint every 2^24 reports per shard (about one
+        # in four passes) keeps the router's in-memory journal small.  At
+        # the default of 65,536 a checkpoint, an fsync, would come every
+        # few frames, and fsync latency on the ext4 disk this was sized on
+        # swung 2x from minute to minute, which made ingest and query
+        # figures spread 22-32% from run to run.
         return served.ServedConfig(
             name=name, protocol="hashtogram",
-            num_users=200_000 if smoke else 8_000_000, transport="shm",
-            trials=max(1, round(seconds / 6)), passes=5,
-            checkpoint_reports=1 << 25,
-            queries_per_trial=60, open_loop_rate=20.0)
+            num_users=200_000 if smoke else 8_000_000,
+            trials=max(1, round(seconds / 10)), passes=20,
+            checkpoint_reports=1 << 24,
+            queries_per_trial=40, open_loop_rate=20.0)
     raise ValueError(f"unknown served workload {name!r}")
-
-
-def sim_config(seconds: int, smoke: bool = False) -> sim.SimConfig:
-    """``sim-six`` sized so its jobs take about ``seconds``: ~8 s for each
-    2-worker trial plus ~10 s for the 1-worker reference."""
-    return sim.SimConfig(num_users=200_000 if smoke else 1_000_000,
-                         trials=max(1, round(seconds / 15)))
 
 
 def run(name: str, seed: int, seconds: int, trace: bool, work_dir: Path,
         ledger: Ledger, smoke: bool = False) -> Outcome:
     """Run one workload; every check it makes is counted in ``ledger``."""
     if name == "sim-six":
-        return _run_sim(sim_config(seconds, smoke), seed, trace, work_dir,
+        # 9-13 s for each 2-worker trial and 11-14 s for the 1-worker
+        # reference, analyst rounds included
+        return _run_sim(200_000 if smoke else 1_000_000,
+                        max(1, round(seconds / 15)), seed, trace, work_dir,
                         ledger)
     return _run_served(served_config(name, seconds, smoke), seed, trace,
                        work_dir, ledger)
@@ -156,7 +155,7 @@ def _run_served(config: served.ServedConfig, seed: int, trace: bool,
     outcome = Outcome(ledger=ledger, metrics=e2e, details={
         "config": {"protocol": config.protocol,
                    "num_users": config.num_users,
-                   "transport": config.transport, "shards": served.SHARDS,
+                   "transport": served.TRANSPORT, "shards": served.SHARDS,
                    "trials": config.trials,
                    "queries_per_trial": config.queries_per_trial,
                    "query_loop": ("open" if config.open_loop_rate else
@@ -221,8 +220,7 @@ def _trace_served(config: served.ServedConfig, inputs: served.ServedInputs,
     # and checkpoints inline, one frame at a time.
     ingest_stages = {
         "client_to_router_tcp": hop_mb / tcp * 1e3,
-        f"router_to_shard_{config.transport}":
-            hop_mb / (tcp if config.transport == "tcp" else shm) * 1e3,
+        "router_to_shard_tcp": hop_mb / tcp * 1e3,
         "journal_append": len(inputs.payloads) * append_us / 1e3,
         "checkpoints": router["checkpoints"] * median(trial.snapshot_ms)
         / config.passes,
@@ -258,10 +256,10 @@ def _trace_served(config: served.ServedConfig, inputs: served.ServedInputs,
 
 # ----- sim-six ------------------------------------------------------------------------
 
-def _sim_e2e(config: sim.SimConfig, trials: List[sim.SimTrial],
+def _sim_e2e(num_users: int, trials: List[sim.SimTrial], rounds: List[float],
              setups: List[float]) -> Dict[str, Tuple[float, str]]:
-    rounds = [x for t in trials for x in t.query_ms]
-    reports = config.num_users * len(sim.PROTOCOLS)
+    """``peak_rss_mb`` covers what ran since the last :func:`reset_peak_rss`."""
+    reports = num_users * len(sim.PROTOCOLS)
     children_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     values = {
         "setup_s": median(setups),
@@ -275,33 +273,50 @@ def _sim_e2e(config: sim.SimConfig, trials: List[sim.SimTrial],
     return {k: (v, E2E_UNITS[k]) for k, v in values.items()}
 
 
-def _run_sim(config: sim.SimConfig, seed: int, trace: bool,
+def _time_builds(num_users: int, seed: int,
+                 setups: List[float]) -> Dict[str, object]:
+    """Build the parameter sets ``SETUP_REPEATS`` times, timing each."""
+    for _ in range(sim.SETUP_REPEATS):
+        begin = time.perf_counter()
+        params = sim.build_params(num_users, seed)
+        setups.append(time.perf_counter() - begin)
+    return params
+
+
+def _run_sim(num_users: int, num_trials: int, seed: int, trace: bool,
              work_dir: Path, ledger: Ledger) -> Outcome:
     untraced = Tracer(False)
-    inputs = sim.make_inputs(config, seed)
-    sim.build_params(config, inputs.params_seed)  # imports, lazy set-up
-    setups = []
-    for _ in range(config.setup_repeats):
-        begin = time.perf_counter()
-        params = sim.build_params(config, inputs.params_seed)
-        setups.append(time.perf_counter() - begin)
+    inputs = sim.make_inputs(num_users, seed)
+    sim.build_params(num_users, inputs.params_seed)  # imports, lazy set-up
+    # Set-ups are timed at the start, after the reference job and after the
+    # trials, and analyst rounds after every job: short bursts, spread over
+    # the run so that a slow spell of the host moves a part of them only.
+    setups: List[float] = []
+    params = _time_builds(num_users, inputs.params_seed, setups)
     # The serial engine is the reference every multi-worker answer matches.
-    reference = sim.run_trial(config, params, inputs, 1, untraced)
+    # It runs in this process, so the peak resident set is reset after it:
+    # peak_rss_mb is that of the measured multi-worker trials alone.
+    reference = sim.run_trial(params, inputs, 1, untraced)
     sim.check_trial(reference, None, inputs, ledger)
-    num_trials = 1 if trace else config.trials
+    _time_builds(num_users, inputs.params_seed, setups)
+    gc.collect()
+    reset_peak_rss()
     trials = []
-    for _ in range(num_trials):
-        trial = sim.run_trial(config, params, inputs, config.workers,
-                              untraced)
+    for _ in range(1 if trace else num_trials):
+        trial = sim.run_trial(params, inputs, sim.WORKERS, untraced)
         sim.check_trial(trial, reference.answers, inputs, ledger)
         trials.append(trial)
-    e2e = _sim_e2e(config, trials, setups)
-    count = sum(len(t.query_ms) for t in trials)
+    _time_builds(num_users, inputs.params_seed, setups)
+    rounds = [x for t in (reference, *trials) for x in t.query_ms]
+    e2e = _sim_e2e(num_users, trials, rounds, setups)
+    count = len(rounds)
     outcome = Outcome(ledger=ledger, metrics=e2e, details={
         "config": {"protocols": list(sim.PROTOCOLS),
-                   "num_users": config.num_users, "workers": config.workers,
-                   "trials": config.trials,
-                   "query_rounds_per_trial": config.query_rounds,
+                   "num_users": num_users, "workers": sim.WORKERS,
+                   "trials": num_trials,
+                   "query_rounds_per_trial": sim.QUERY_ROUNDS,
+                   "query_items_per_estimator": sim.NUM_QUERY_ITEMS,
+                   "rappor_candidates": sim.RAPPOR_CANDIDATES,
                    "plan_seed": inputs.plan_seed,
                    "planted_items": {p: list(v)
                                      for p, v in inputs.planted.items()}},
@@ -313,9 +328,9 @@ def _run_sim(config: sim.SimConfig, seed: int, trace: bool,
 
     tracer = Tracer(True)
     with tracer.span("engine.job"):
-        traced = sim.run_trial(config, params, inputs, config.workers, tracer)
+        traced = sim.run_trial(params, inputs, sim.WORKERS, tracer)
     sim.check_trial(traced, reference.answers, inputs, ledger)
-    traced_e2e = _sim_e2e(config, [traced], setups)
+    traced_e2e = _sim_e2e(num_users, [traced], traced.query_ms, setups)
     figures: Dict[str, float] = {}
     serial_stages: Dict[str, float] = {}
     for protocol in sim.PROTOCOLS:
@@ -325,7 +340,7 @@ def _run_sim(config: sim.SimConfig, seed: int, trace: bool,
                                            codec_reports=1 << 16)
         figures.update(replay)
         serial_stages[protocol] = (
-            config.num_users * (replay[f"encode.ns_per_report.{protocol}"]
+            num_users * (replay[f"encode.ns_per_report.{protocol}"]
                                 + replay[f"absorb.ns_per_report.{protocol}"])
             / 1e6 + replay[f"finalize.ms.{protocol}"])
     figures.update({
@@ -336,7 +351,7 @@ def _run_sim(config: sim.SimConfig, seed: int, trace: bool,
     serial_ms = reference.job_s * 1e3
     lines = [_reconcile_line("sim-six", "job_1_worker", serial_ms,
                              serial_stages),
-             f"reconcile sim-six job_{config.workers}_workers: "
+             f"reconcile sim-six job_{sim.WORKERS}_workers: "
              f"e2e_ms={trials[0].job_s * 1e3:.1f} "
              f"serial_stage_sum_ms={sum(serial_stages.values()):.1f}"]
     figures["reconcile.stage_sum_ms"] = sum(serial_stages.values())
