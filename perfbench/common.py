@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import signal
 import statistics
 import threading
 import time
@@ -236,6 +237,89 @@ def process_tree(pid: int) -> List[int]:
 def tree_peak_rss_mb(pid: int) -> float:
     """Sum of ``VmHWM`` over a process and its descendants."""
     return sum(vm_hwm_mb(p) for p in process_tree(pid))
+
+
+# ----- process clean-up ---------------------------------------------------------------
+
+#: ``prctl`` option from ``<linux/prctl.h>``
+PR_SET_CHILD_SUBREAPER = 36
+#: how long a SIGKILLed process may take to end before the run fails
+KILL_WAIT_S = 30.0
+
+
+def become_subreaper() -> None:
+    """Adopt this process's orphaned descendants.
+
+    A shard whose router has died is then re-parented to the benchmark, which
+    can kill it and wait for it, instead of to an init that might not.
+    """
+    import ctypes
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        errno = ctypes.get_errno()
+        raise OSError(errno, f"prctl(PR_SET_CHILD_SUBREAPER): "
+                             f"{os.strerror(errno)}")
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs; an ended child of this process is reaped."""
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == pid:
+            return False
+    except ChildProcessError:
+        pass  # not a child of this process: only /proc can tell
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def end_processes(pids: Sequence[int], grace_s: float) -> List[int]:
+    """Give ``pids`` ``grace_s`` to exit, SIGKILL the rest, wait for each.
+
+    Returns the pids that had to be killed.
+    """
+    live = [p for p in pids if _alive(p)]
+    deadline = time.monotonic() + grace_s
+    while live and time.monotonic() < deadline:
+        time.sleep(0.05)
+        live = [p for p in live if _alive(p)]
+    killed = list(live)
+    for pid in killed:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    deadline = time.monotonic() + KILL_WAIT_S
+    while live:
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"processes {live} outlived SIGKILL by "
+                               f"{KILL_WAIT_S} s")
+        time.sleep(0.01)
+        live = [p for p in live if _alive(p)]
+    return killed
+
+
+def stop_descendants() -> List[int]:
+    """End every process below this one; returns those that had to be killed.
+
+    The multiprocessing resource tracker (started by the shm transport) is
+    stopped through its own pipe first, so that it still cleans up.
+    """
+    from multiprocessing import resource_tracker
+
+    stop_tracker = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop_tracker is not None:
+        stop_tracker()
+    killed: List[int] = []
+    while True:
+        # a killed process's own children are re-parented here, so look again
+        live = [p for p in process_tree(os.getpid())[1:] if _alive(p)]
+        if not live:
+            return killed
+        killed += end_processes(live, grace_s=0.0)
 
 
 # ----- result line --------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import traceback
 from pathlib import Path
@@ -42,8 +43,49 @@ def main(argv=None) -> int:
         print("perfbench: --seconds must be at least 1", file=sys.stderr)
         return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from perfbench.common import become_subreaper, result_line, stop_descendants
+
+    # Whatever way the run ends (a SIGTERM too), no process it started
+    # outlives it: orphans are adopted, then killed and waited for.
+    become_subreaper()
+    terminated = []
+
+    def on_sigterm(signum, frame):
+        terminated.append(signum)
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, on_sigterm)
+    try:
+        outcome, host = _measure(args)
+    finally:
+        leftovers = stop_descendants()
+    if terminated:
+        print("perfbench: terminated; no result", file=sys.stderr)
+        return 128 + terminated[0]
+    if leftovers:
+        print(f"perfbench: killed {len(leftovers)} leftover processes: "
+              f"{leftovers}", file=sys.stderr)
+    host["loadavg_after"] = list(os.getloadavg())
+    header = {"workload": args.workload, "seed": args.seed,
+              "seconds": args.seconds, "trace": args.trace, "host": host,
+              "leftover_processes": len(leftovers), **outcome.details}
+    print(json.dumps(header, sort_keys=True))
+    for line in outcome.lines:
+        print(line)
+    for note in outcome.ledger.notes:
+        print(f"FAILED {note}")
+    print(f"error_rate {outcome.ledger.error_rate:.6g} "
+          f"({outcome.ledger.total_failed} failed of "
+          f"{outcome.ledger.total_attempted} attempted)")
+    correct = outcome.ledger.total_failed == 0
+    print(result_line(correct, outcome.ledger, outcome.metrics), flush=True)
+    return 0 if correct else 1
+
+
+def _measure(args):
+    """Run the workload; returns its outcome and the host record."""
     from perfbench import workloads
-    from perfbench.common import Ledger, cpu_probe_ms, host_record, result_line
+    from perfbench.common import Ledger, cpu_probe_ms, host_record
 
     work_dir = ROOT / ".perfbench_work"
     work_dir.mkdir(exist_ok=True)
@@ -56,22 +98,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         ledger.record("run", 1, 1, f"{type(exc).__name__}: {exc}")
         outcome = workloads.Outcome(ledger=ledger, metrics={})
-    host["loadavg_after"] = list(os.getloadavg())
     host["cpu_probe_ms_after"] = cpu_probe_ms()
-    header = {"workload": args.workload, "seed": args.seed,
-              "seconds": args.seconds, "trace": args.trace, "host": host,
-              **outcome.details}
-    print(json.dumps(header, sort_keys=True))
-    for line in outcome.lines:
-        print(line)
-    for note in outcome.ledger.notes:
-        print(f"FAILED {note}")
-    print(f"error_rate {outcome.ledger.error_rate:.6g} "
-          f"({outcome.ledger.total_failed} failed of "
-          f"{outcome.ledger.total_attempted} attempted)")
-    correct = outcome.ledger.total_failed == 0
-    print(result_line(correct, outcome.ledger, outcome.metrics), flush=True)
-    return 0 if correct else 1
+    return outcome, host
 
 
 if __name__ == "__main__":

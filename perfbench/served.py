@@ -12,9 +12,7 @@ load generation is on no clock.  Each trial spawns a fresh deployment.
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import signal
 import subprocess
 import threading
 import time
@@ -24,7 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from perfbench.common import Ledger, Tracer, process_tree, tree_peak_rss_mb
+from perfbench.common import (
+    Ledger,
+    Tracer,
+    end_processes,
+    process_tree,
+    tree_peak_rss_mb,
+)
 from repro.server.framing import read_frame_sync, write_frame_sync
 
 DOMAIN_SIZE = 1 << 16
@@ -195,32 +199,19 @@ class Deployment:
             if client is not None:
                 client.shutdown()
                 client.close()
-            proc.wait(timeout=30)
-        except (OSError, RuntimeError, subprocess.TimeoutExpired):
+            proc.wait(timeout=TIMEOUT_S)
+        except (OSError, RuntimeError, ValueError,
+                subprocess.TimeoutExpired):
             proc.kill()
-            proc.wait(timeout=30)
+            proc.wait(timeout=TIMEOUT_S)
         finally:
-            for pid in tree[1:]:
-                _reap(pid)
+            # The router reaps its shards on shutdown; after a kill they are
+            # orphans, re-parented to the benchmark (see become_subreaper).
+            end_processes(tree[1:], grace_s=10.0)
             if proc.stdout is not None:
                 proc.stdout.close()
             self.proc = None
             shutil.rmtree(self.base_dir, ignore_errors=True)
-
-
-def _reap(pid: int) -> None:
-    """Kill a leftover descendant (normally already gone) and wait for it."""
-    deadline = time.monotonic() + 10
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return
-        time.sleep(0.05)
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        return
 
 
 def measure_setup(config: ServedConfig, params_file: Path,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,11 +27,13 @@ WORKERS = 2
 PLANTED = (0.1, 0.08, 0.06)
 #: parameter builds timed in each of a run's three set-up groups
 #: (``setup_s`` reports the median of all of them)
-SETUP_REPEATS = 7
-#: analyst rounds per trial; a round reads all six estimators and is one
-#: latency sample.  The first rounds fill the caches and are not timed.
-QUERY_ROUNDS = 40
-WARMUP_ROUNDS = 3
+SETUP_REPEATS = 25
+#: timed analyst rounds per group; a round reads all six estimators and is
+#: one latency sample.  One untimed round before each group fills the
+#: caches.  A job's estimators are read by one group before each protocol
+#: of the next job (see :func:`run_trial`'s ``between``); the last job's,
+#: by as many rounds at once.
+ROUNDS_PER_GROUP = 6
 #: items per estimator per round: half the large domain, so one round is
 #: ~25 ms of work and a brief stall of the host moves few samples
 NUM_QUERY_ITEMS = 1 << 15
@@ -109,19 +111,25 @@ class SimTrial:
     ingest_s: Dict[str, float]
     merge_s: Dict[str, float]
     finalize_s: Dict[str, float]
-    answers: Dict[str, np.ndarray]
-    query_ms: List[float]
     estimators: Dict[str, object]
+    #: the last analyst round's answers (see :func:`analyst_rounds`)
+    answers: Dict[str, np.ndarray]
 
 
 def run_trial(params: Dict[str, object], inputs: SimInputs, workers: int,
-              tracer: Tracer) -> SimTrial:
-    """One job: six protocols from values in hand to finalized estimators."""
+              tracer: Tracer, between: Callable[[], None] = lambda: None
+              ) -> SimTrial:
+    """One job: six protocols from values in hand to finalized estimators.
+
+    ``between`` runs before each protocol, off the job's clock.
+    """
     from repro.engine import run_simulation
 
     ingest, merge, finalize, estimators = {}, {}, {}, {}
-    start = time.perf_counter()
+    job_s = 0.0
     for protocol in PROTOCOLS:
+        between()
+        start = time.perf_counter()
         with tracer.span("engine.run_simulation"):
             result = run_simulation(params[protocol], inputs.values[protocol],
                                     rng=np.random.default_rng(inputs.plan_seed),
@@ -132,25 +140,31 @@ def run_trial(params: Dict[str, object], inputs: SimInputs, workers: int,
         finalize[protocol] = time.perf_counter() - begin
         ingest[protocol] = result.ingest_s
         merge[protocol] = result.merge_s
-    job_s = time.perf_counter() - start
+        job_s += time.perf_counter() - start
+    return SimTrial(job_s=job_s, ingest_s=ingest, merge_s=merge,
+                    finalize_s=finalize, estimators=estimators, answers={})
 
-    # The job leaves gigabytes of garbage behind; collect it before the
-    # analyst rounds so they do not pay for it, and let the first rounds
-    # fill the caches untimed.
+
+def analyst_rounds(trial: SimTrial, inputs: SimInputs, rounds: int,
+                   tracer: Tracer) -> List[float]:
+    """Time ``rounds`` analyst rounds on ``trial``'s estimators, in ms.
+
+    The answers of the last round are kept in ``trial.answers``.
+    """
+    # A job leaves gigabytes of garbage behind; collect it first so that
+    # the rounds do not pay for it.
     gc.collect()
-    answers: Dict[str, np.ndarray] = {}
     query_ms: List[float] = []
-    for round_index in range(WARMUP_ROUNDS + QUERY_ROUNDS):
+    for round_index in range(1 + rounds):
         begin = time.perf_counter()
         for protocol in PROTOCOLS:
             with tracer.span("protocol.query"):
-                answers[protocol] = answer(estimators[protocol], protocol,
-                                           inputs.queries[protocol])
-        if round_index >= WARMUP_ROUNDS:
+                trial.answers[protocol] = answer(trial.estimators[protocol],
+                                                 protocol,
+                                                 inputs.queries[protocol])
+        if round_index > 0:
             query_ms.append((time.perf_counter() - begin) * 1000.0)
-    return SimTrial(job_s=job_s, ingest_s=ingest, merge_s=merge,
-                    finalize_s=finalize, answers=answers, query_ms=query_ms,
-                    estimators=estimators)
+    return query_ms
 
 
 def check_trial(trial: SimTrial, reference: Optional[Dict[str, np.ndarray]],

@@ -167,6 +167,25 @@ class TestCommandLine:
         assert proc.stdout == ""
 
 
+class TestProcessCleanup:
+    def test_an_orphaned_grandchild_is_killed_and_reaped(self):
+        # sh exits at once, so its background sleep is orphaned: adopted by
+        # the subreaper, which must kill it and reap it.
+        script = (
+            "import subprocess\n"
+            "from perfbench.common import become_subreaper, stop_descendants\n"
+            "become_subreaper()\n"
+            "out = subprocess.run(['sh', '-c', 'sleep 300 >/dev/null 2>&1 & "
+            "echo $!'], capture_output=True, text=True, check=True).stdout\n"
+            "print(int(out), stop_descendants())\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              cwd=BENCH_DIR.parent, capture_output=True,
+                              text=True, timeout=60, check=True)
+        orphan, killed = proc.stdout.split(" ", 1)
+        assert killed.strip() == f"[{orphan}]"
+        assert not Path(f"/proc/{orphan}").exists()
+
+
 @pytest.mark.slow
 class TestSmoke:
     """Tiny workloads, seconds long, through the full correctness gate."""

@@ -8,7 +8,8 @@ End-to-end metrics (``--trace 0``), for every workload:
     least three set-ups.
 ``ingest_reports_per_s``
     served: reports confirmed by ``sync`` over first byte sent → ``sync``
-    reply; ``sim-six``: reports encoded and absorbed over the engine's
+    reply, summed over every pass of the report stream in the run;
+    ``sim-six``: reports encoded and absorbed over the engine's
     encode+absorb wall time, all six protocols.  Median over trials.
 ``query_p50_ms`` / ``query_tail_ms``
     served: merged ``query`` calls (``hh-cluster`` closed loop after
@@ -70,23 +71,31 @@ class Outcome:
     details: Dict[str, object] = field(default_factory=dict)
 
 
-def served_config(name: str, seconds: int, smoke: bool = False
-                  ) -> served.ServedConfig:
+def served_config(name: str, seconds: int, smoke: bool = False,
+                  trace: bool = False) -> served.ServedConfig:
     """The served workloads, sized so one run measures about ``seconds``.
 
-    ``smoke`` shrinks a run to seconds for the benchmark's own tests.  The
+    ``smoke`` shrinks a run to seconds for the benchmark's own tests.
+    ``trace`` halves the ``hh-cluster`` queries: a traced run makes two
+    deployments, one untraced and one traced, and must stay well within
+    the time one run may take on a host running at half speed.  The
     heavy-hitter population stays at 200k even then: the expander sketch
     misses 10%-heavy items at 20k-50k users, so a smaller smoke run would
     fail the recovery gate rather than test the benchmark.
     """
     if name == "hh-cluster":
-        # ~1 s per merged query at this size: the queries are most of the
-        # run, and their count fixes the tail percentile (p60 at 25).  One
+        # 1-1.7 s per merged query at this size: the queries are most of
+        # the run, and their count fixes the tail percentile (p60 at 25;
+        # at 21 or fewer the tail rule picks the median itself).  One
         # deployment per run: tearing down 1.7 GB of shard and router state
-        # costs seconds that measure nothing.
+        # costs seconds that measure nothing.  Streaming the reports three
+        # times instead of once did not steady ingest_reports_per_s (IQR
+        # 0.11 against 0.16 over five seeds) and made a run 35 s longer.
+        queries = max(11, seconds)
         return served.ServedConfig(
             name=name, protocol="expander_sketch", num_users=200_000,
-            trials=1, queries_per_trial=max(11, seconds - 5),
+            trials=1, queries_per_trial=max(11, queries // 2) if trace
+            else queries,
             planted=(0.1, 0.08, 0.06))
     if name == "freq-stream":
         # Each pass streams the 8M reports again (~0.25 s), and the 40
@@ -101,7 +110,7 @@ def served_config(name: str, seconds: int, smoke: bool = False
         return served.ServedConfig(
             name=name, protocol="hashtogram",
             num_users=200_000 if smoke else 8_000_000,
-            trials=max(1, round(seconds / 10)), passes=20,
+            trials=max(1, seconds // 10), passes=20,
             checkpoint_reports=1 << 24,
             queries_per_trial=40, open_loop_rate=20.0)
     raise ValueError(f"unknown served workload {name!r}")
@@ -116,8 +125,8 @@ def run(name: str, seed: int, seconds: int, trace: bool, work_dir: Path,
         return _run_sim(200_000 if smoke else 1_000_000,
                         max(1, round(seconds / 15)), seed, trace, work_dir,
                         ledger)
-    return _run_served(served_config(name, seconds, smoke), seed, trace,
-                       work_dir, ledger)
+    return _run_served(served_config(name, seconds, smoke, trace), seed,
+                       trace, work_dir, ledger)
 
 
 # ----- served workloads ---------------------------------------------------------------
@@ -126,10 +135,11 @@ def _served_e2e(inputs: served.ServedInputs,
                 trials: List[served.TrialResult],
                 setups: List[float]) -> Dict[str, Tuple[float, str]]:
     latencies = [x for t in trials for x in t.latencies_ms]
+    ingest_s = [x for t in trials for x in t.ingest_s]
     values = {
         "setup_s": median(setups),
-        "ingest_reports_per_s": median([inputs.num_reports / x
-                                        for t in trials for x in t.ingest_s]),
+        "ingest_reports_per_s": inputs.num_reports * len(ingest_s)
+        / sum(ingest_s),
         "query_p50_ms": median(latencies),
         "query_tail_ms": tail_value(latencies),
         "job_s": median([t.job_s for t in trials]),
@@ -148,7 +158,8 @@ def _run_served(config: served.ServedConfig, seed: int, trace: bool,
     trials = [served.run_trial(config, inputs, work_dir, i, ledger, untraced)
               for i in range(num_trials)]
     setups = [t.setup_s for t in trials]
-    while len(setups) < SETUP_SAMPLES:
+    # setup_s is an end-to-end metric, which a traced run does not report
+    while not trace and len(setups) < SETUP_SAMPLES:
         setups.append(served.measure_setup(config, params_file, work_dir))
     e2e = _served_e2e(inputs, trials, setups)
     count = sum(len(t.latencies_ms) for t in trials)
@@ -289,32 +300,40 @@ def _run_sim(num_users: int, num_trials: int, seed: int, trace: bool,
     inputs = sim.make_inputs(num_users, seed)
     sim.build_params(num_users, inputs.params_seed)  # imports, lazy set-up
     # Set-ups are timed at the start, after the reference job and after the
-    # trials, and analyst rounds after every job: short bursts, spread over
-    # the run so that a slow spell of the host moves a part of them only.
+    # trials, and analyst rounds in groups between the protocols of the
+    # next job: short bursts, spread over the run so that a slow spell of
+    # the host moves a part of them only.
     setups: List[float] = []
     params = _time_builds(num_users, inputs.params_seed, setups)
     # The serial engine is the reference every multi-worker answer matches.
     # It runs in this process, so the peak resident set is reset after it:
     # peak_rss_mb is that of the measured multi-worker trials alone.
     reference = sim.run_trial(params, inputs, 1, untraced)
-    sim.check_trial(reference, None, inputs, ledger)
     _time_builds(num_users, inputs.params_seed, setups)
     gc.collect()
     reset_peak_rss()
-    trials = []
+    rounds: List[float] = []
+    previous, trials = reference, []
     for _ in range(1 if trace else num_trials):
-        trial = sim.run_trial(params, inputs, sim.WORKERS, untraced)
-        sim.check_trial(trial, reference.answers, inputs, ledger)
+        def between(job=previous):
+            rounds.extend(sim.analyst_rounds(job, inputs, sim.ROUNDS_PER_GROUP,
+                                             untraced))
+        trial = sim.run_trial(params, inputs, sim.WORKERS, untraced, between)
+        sim.check_trial(previous, None if previous is reference
+                        else reference.answers, inputs, ledger)
+        previous = trial
         trials.append(trial)
+    rounds += sim.analyst_rounds(previous, inputs, sim.ROUNDS_PER_GROUP
+                                 * len(sim.PROTOCOLS), untraced)
+    sim.check_trial(previous, reference.answers, inputs, ledger)
     _time_builds(num_users, inputs.params_seed, setups)
-    rounds = [x for t in (reference, *trials) for x in t.query_ms]
     e2e = _sim_e2e(num_users, trials, rounds, setups)
     count = len(rounds)
     outcome = Outcome(ledger=ledger, metrics=e2e, details={
         "config": {"protocols": list(sim.PROTOCOLS),
                    "num_users": num_users, "workers": sim.WORKERS,
                    "trials": num_trials,
-                   "query_rounds_per_trial": sim.QUERY_ROUNDS,
+                   "query_rounds_per_group": sim.ROUNDS_PER_GROUP,
                    "query_items_per_estimator": sim.NUM_QUERY_ITEMS,
                    "rappor_candidates": sim.RAPPOR_CANDIDATES,
                    "plan_seed": inputs.plan_seed,
@@ -329,8 +348,10 @@ def _run_sim(num_users: int, num_trials: int, seed: int, trace: bool,
     tracer = Tracer(True)
     with tracer.span("engine.job"):
         traced = sim.run_trial(params, inputs, sim.WORKERS, tracer)
+    traced_rounds = sim.analyst_rounds(traced, inputs, sim.ROUNDS_PER_GROUP
+                                       * len(sim.PROTOCOLS), tracer)
     sim.check_trial(traced, reference.answers, inputs, ledger)
-    traced_e2e = _sim_e2e(num_users, [traced], traced.query_ms, setups)
+    traced_e2e = _sim_e2e(num_users, [traced], traced_rounds, setups)
     figures: Dict[str, float] = {}
     serial_stages: Dict[str, float] = {}
     for protocol in sim.PROTOCOLS:
