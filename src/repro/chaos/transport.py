@@ -31,10 +31,10 @@ Fault kinds on this leg:
 * ``reset``  — abort both directions mid-frame; the frame is lost.
 * ``truncate`` — forward only the first half of the framed bytes, then
   close; the upstream peer sees a mid-frame EOF.
-* ``corrupt`` — flip every bit of the payload's first byte (``0xB1`` and
-  ``0x7B`` both become invalid magics, so the peer *must* reject — data
-  bytes are not flipped because undetectable corruption is a documented
-  non-goal, see ``docs/chaos.md``).
+* ``corrupt`` — flip every bit of the payload's first byte (``0xB1``
+  becomes an invalid magic, so the peer *must* reject — data bytes are not
+  flipped because undetectable corruption is a documented non-goal, see
+  ``docs/chaos.md``).
 * ``stall``  — swallow the frame and black-hole the connection (both
   directions) while keeping it open: the peer's next exchange hangs until
   its own deadline fires, which is exactly the pathology the timeout
@@ -51,23 +51,13 @@ import asyncio
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.chaos.schedule import WIRE_KINDS, FaultEvent
+from repro.protocol.binary import is_binary_payload
 from repro.server.framing import FrameError, frame_bytes, read_frame_payload
 from repro.transport import Listener
 from repro.transport import dial as transport_dial
 from repro.transport import serve as transport_serve
 
 __all__ = ["FaultyTransport"]
-
-
-def _is_reports_payload(payload: bytes) -> bool:
-    """Frame-sniff without a decode: binary magic or an early JSON tag."""
-    if not payload:
-        return False
-    if payload[0] == 0xB1:
-        return True
-    return b'"type":"reports"' in payload[:64] or (
-        b'"type": "reports"' in payload[:64]
-    )
 
 
 class _Connection:
@@ -244,7 +234,7 @@ class FaultyTransport:
                 if conn.blackhole:
                     continue  # swallow everything after a stall
                 event: Optional[FaultEvent] = None
-                if _is_reports_payload(payload):
+                if is_binary_payload(payload):
                     self.frames += 1
                     event = self.faults.pop(self.frames, None)
                 if event is not None:

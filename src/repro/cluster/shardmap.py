@@ -300,7 +300,7 @@ class ShardMapStore:
         self.path = Path(path)
 
     def save(self, shard_map: ShardMap) -> None:
-        write_snapshot(self.path, shard_map.to_dict(), format="json")
+        write_snapshot(self.path, shard_map.to_dict())
 
     def load(self) -> Optional[ShardMap]:
         """The persisted map, or ``None`` when no map was ever committed.

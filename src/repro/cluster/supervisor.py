@@ -127,7 +127,7 @@ class ClusterSupervisor:
     base_dir:
         Home of the cluster on disk: the shared params file plus one
         ``shard-K`` snapshot directory per shard.
-    window / wire_format / snapshot_format:
+    window:
         Passed through to every shard's ``serve`` invocation.
     transport:
         ``"tcp"`` (default) or ``"shm"``.  With ``"shm"`` every spawned
@@ -149,8 +149,6 @@ class ClusterSupervisor:
         base_dir: Union[str, Path],
         *,
         window: Optional[int] = None,
-        wire_format: str = "both",
-        snapshot_format: str = "json",
         transport: str = "tcp",
     ) -> None:
         if num_shards < 1:
@@ -162,8 +160,6 @@ class ClusterSupervisor:
         self.num_shards = int(num_shards)
         self.base_dir = Path(base_dir)
         self.window = window
-        self.wire_format = wire_format
-        self.snapshot_format = snapshot_format
         self.transport = transport
         ClusterSupervisor._instances += 1
         #: shm ring-name prefix: unique per (process, supervisor) so stale
@@ -189,14 +185,7 @@ class ClusterSupervisor:
         return f"{self._shm_prefix}-s{index}g{restarts}"
 
     def _serve_args(self, index: int, shard_dir: Path) -> List[str]:
-        args = [
-            "--snapshot-dir",
-            str(shard_dir),
-            "--snapshot-format",
-            self.snapshot_format,
-            "--wire-format",
-            self.wire_format,
-        ]
+        args = ["--snapshot-dir", str(shard_dir)]
         if self.window is not None:
             args += ["--window", str(self.window)]
         if self.transport == "shm":
@@ -212,10 +201,12 @@ class ClusterSupervisor:
         A fresh shard directory has no snapshots and starts empty; on a
         restart (or a cold cluster resume) the shard comes back at its last
         intact checkpoint — corrupt snapshot files are walked past, never
-        restored (:meth:`SnapshotStore.latest_valid`).
+        restored (:meth:`SnapshotStore.latest_valid`); a snapshot in a
+        retired format raises
+        :class:`~repro.server.snapshot.SnapshotFormatError`.
         """
         shard_dir = self.base_dir / f"shard-{index}"
-        store = SnapshotStore(shard_dir, format=self.snapshot_format)
+        store = SnapshotStore(shard_dir)
         latest = store.latest_valid()
         if latest is not None:
             extra = ["--restore", str(latest),

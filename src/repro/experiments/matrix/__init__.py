@@ -5,7 +5,7 @@ package makes "add a scenario" a five-line YAML diff instead.  A config file
 under ``experiments/configs/`` declares either
 
 * a **serving matrix** (``kind: serving``): axes — protocol x epsilon x
-  domain size x distribution x workers x shards x wire format x transport —
+  domain size x distribution x workers x shards x transport —
   expanded into cells.  Every cell runs the offline engine reference; cells
   with ``shards >= 1`` additionally spawn a live single server or a
   K-shard cluster, stream the canonical chunk stream at it, and assert the

@@ -31,7 +31,6 @@ class ConfigError(ValueError):
 #: kept literal so config validation does not import the engine stack)
 _PROTOCOLS = ("hashtogram", "explicit", "cms")
 _DISTRIBUTIONS = ("zipf", "uniform", "planted")
-_WIRE_FORMATS = ("json", "binary")
 _TRANSPORTS = ("tcp", "shm")
 
 #: hard ceiling on ``max_cells`` itself (a config cannot lift the lid off)
@@ -79,8 +78,6 @@ AXES: Dict[str, Tuple[object, Tuple]] = {
                                              _DISTRIBUTIONS), ("zipf",)),
     "workers": (lambda v: _check_int("workers", v, 1), (1,)),
     "shards": (lambda v: _check_int("shards", v, 0), (0,)),
-    "wire_format": (lambda v: _check_choice("wire_format", v, _WIRE_FORMATS),
-                    ("binary",)),
     "transport": (lambda v: _check_choice("transport", v, _TRANSPORTS),
                   ("tcp",)),
 }
@@ -104,7 +101,6 @@ class Cell:
     distribution: str
     workers: int
     shards: int
-    wire_format: str
     transport: str
     #: deterministic per-cell seed (derive_cell_seed)
     seed: int
@@ -128,7 +124,7 @@ class Cell:
                 else f"cluster:{self.shards}")
         return (f"{self.protocol} eps={self.epsilon:g} n={self.users} "
                 f"|X|={self.domain_size} {self.distribution} "
-                f"w={self.workers} {mode} {self.wire_format}/{self.transport}")
+                f"w={self.workers} {mode} {self.transport}")
 
 
 @dataclass(frozen=True)

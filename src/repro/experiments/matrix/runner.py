@@ -5,8 +5,8 @@ reference from its derived seed.  Engine cells (``shards == 0``) verify the
 multi-worker run against a serial 1-worker run; serving cells spawn a real
 ``serve`` / ``serve-cluster`` subprocess tree (the same
 :func:`repro.cluster.supervisor.spawn_server_process` path the CLI and the
-chaos harness use), stream the canonical chunk stream at it over the cell's
-wire format, and verify the served estimates equal the offline reference
+chaos harness use), stream the canonical chunk stream at it in binary
+``reports`` frames, and verify the served estimates equal the offline reference
 **bit for bit**.  Either way the cell's committed fields are a pure
 function of the cell seed; wall-clock throughput is kept in a separate
 ``timing`` payload that never reaches committed output.
@@ -108,8 +108,7 @@ def _drive_live(params, cell: Cell, batches, routes,
     proc, host, port = _spawn(params, cell)
     stopped = False
     try:
-        with AggregationClient(host, port,
-                               wire_format=cell.wire_format) as client:
+        with AggregationClient(host, port) as client:
             published = client.hello()
             if published != params:
                 raise RuntimeError(

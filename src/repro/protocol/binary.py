@@ -1,18 +1,13 @@
 """Zero-copy binary columnar codec for report batches and aggregator state.
 
-The JSON wire form of :class:`~repro.protocol.wire.ReportBatch`
-(``to_dict("b64")``) pays three taxes per batch: a ``json.dumps`` pass, a
-base64 inflation of 4/3 on every column, and a ``json.loads`` + base64 pass
-on the server before a single report is absorbed.  At 1M hashtogram reports
-that is ~22.7 MB on the wire and the dominant cost of sustained ingest
-(``BENCH_server.json``), while ``absorb_batch`` itself runs an order of
-magnitude faster.  This module removes the serialization layer entirely:
+This is the one encoding of reports and aggregator state on the wire, on
+disk, and between engine processes.  It carries no serialization layer:
 
 * **Encoding** writes each column as ``(name, dtype, shape, raw
   little-endian bytes)`` behind a fixed ``struct`` header — no JSON, no
   base64.  Integer columns are first narrowed to the smallest integer dtype
   that holds their value range (a hashtogram report shrinks from 17 raw
-  bytes to 4), which is what buys the ≥3× wire reduction over b64-JSON.
+  bytes to 4).
 * **Decoding** is a handful of ``struct.unpack_from`` calls plus one
   ``np.frombuffer`` per column: every decoded column is a **read-only
   zero-copy view** over the received buffer.  Aggregators absorb these
@@ -23,7 +18,7 @@ magnitude faster.  This module removes the serialization layer entirely:
   reference into the binary column table.  The multiprocess engine uses it
   for the worker→parent result channel (avoiding a public-parameter
   round-trip per worker) and :class:`~repro.server.snapshot.SnapshotStore`
-  for binary snapshot files.
+  for snapshot files.
 
 Frame layout (normative; also specified in ``docs/wire-protocol.md`` §8)::
 
@@ -49,16 +44,15 @@ Frame layout (normative; also specified in ``docs/wire-protocol.md`` §8)::
         data region (as above)
 
 All multi-byte header fields are little-endian.  The magic byte ``0xB1``
-can never open a JSON frame payload (those start with ``{`` = 0x7B), which
-is how :mod:`repro.server.framing` tells the two frame classes apart
-without negotiation state.
+can never open a JSON control frame payload (those start with ``{`` =
+0x7B), which is how :mod:`repro.server.framing` tells the two frame
+classes apart.
 
 The write side validates the *announced* total frame size against the
-caller's limit **before serializing anything** (the legacy JSON path could
-only discover an oversized frame after materializing the full payload);
-the read side validates every announced offset, length, and shape before
-touching column data, so truncated or corrupted frames fail loudly with
-:class:`BinaryFormatError` rather than decoding garbage.
+caller's limit **before serializing anything**; the read side validates
+every announced offset, length, and shape before touching column data, so
+truncated or corrupted frames fail loudly with :class:`BinaryFormatError`
+rather than decoding garbage.
 """
 
 from __future__ import annotations
@@ -214,7 +208,8 @@ def _write_columns(out: bytearray, pos: int, specs: Sequence[_ColumnSpec],
         struct.pack_into("<QQ", out, pos, spec.offset, spec.nbytes)
         pos += 16
         data = np.ascontiguousarray(spec.array, dtype=spec.dtype)
-        out[spec.offset:spec.offset + spec.nbytes] = data.tobytes()
+        out[spec.offset:spec.offset + spec.nbytes] = \
+            memoryview(data.reshape(-1).view(np.uint8))
 
 
 class _Reader:
@@ -519,8 +514,10 @@ def _extract_arrays(obj, columns: List[np.ndarray]):
                 arr = None
             if arr is not None and arr.dtype.kind in "iu" \
                     and _fits_int64(arr):
-                columns.append(np.ascontiguousarray(arr.astype(np.int64,
-                                                               copy=False)))
+                # Narrow at once: holding every list as int64 until the
+                # write would multiply the transient memory of a pack.
+                arr = arr.astype(np.int64, copy=False)
+                columns.append(arr.astype(_wire_dtype(arr)))
                 return {_COLUMN_KEY: len(columns) - 1}
         return [_extract_arrays(item, columns) for item in items]
     raise TypeError(f"cannot pack {type(obj).__name__} into a state payload")

@@ -46,7 +46,6 @@ from repro.server.client import (
     ShardUnavailable,
 )
 from repro.server.framing import (
-    WIRE_FORMATS,
     FrameError,
     decode_frame,
     encode_frame,
@@ -71,7 +70,6 @@ __all__ = [
     "ShardUnavailable",
     "ServerStats",
     "SnapshotStore",
-    "WIRE_FORMATS",
     "WindowedAggregator",
     "decode_frame",
     "encode_frame",

@@ -14,19 +14,16 @@ classes share the prefix and are told apart by the payload's first byte:
 +----------------+---------------------------+
 ```
 
-JSON frames carry the full control vocabulary (``hello`` / ``reports`` /
-``sync`` / ``query`` / ``snapshot`` / ``stats`` / ``shutdown`` and their
-replies, specified in ``docs/wire-protocol.md`` §7).  Binary frames carry
-only ``reports``: the batch columns travel as raw little-endian bytes
-behind a fixed struct header (``docs/wire-protocol.md`` §8) and decode to
-**read-only zero-copy** numpy views — no JSON, no base64, no intermediate
-dict.  ``decode_frame`` normalizes both classes to the same message shape;
-a binary ``reports`` message carries an already-decoded
+JSON frames carry the control vocabulary (``hello`` / ``sync`` / ``query``
+/ ``snapshot`` / ``stats`` / ``shutdown`` and their replies, specified in
+``docs/wire-protocol.md`` §7).  Binary frames carry ``reports``, and
+``reports`` travel only as binary frames: the batch columns are raw
+little-endian bytes behind a fixed struct header (``docs/wire-protocol.md``
+§8) and decode to **read-only zero-copy** numpy views — no JSON, no base64,
+no intermediate dict.  A JSON object tagged ``"type": "reports"`` is a
+:class:`FrameError`.  ``decode_frame`` returns one message shape for both
+classes; a ``reports`` message carries an already-decoded
 :class:`~repro.protocol.wire.ReportBatch` under ``"batch"``.
-
-The JSON ``reports`` path remains the default and the compatibility/debug
-format; clients opt into binary per connection (``wire_format="binary"``)
-after ``hello`` advertises the server's accepted formats.
 
 Both an asyncio flavor (:func:`read_frame` / :func:`write_frame`, used by
 the server and the async client) and a blocking flavor
@@ -53,8 +50,8 @@ from repro.protocol.wire import ReportBatch
 
 __all__ = [
     "FrameError",
+    "JSON_REPORTS_RETIRED",
     "MAX_FRAME_BYTES",
-    "WIRE_FORMATS",
     "encode_frame",
     "encode_reports_frame",
     "decode_frame",
@@ -72,15 +69,17 @@ __all__ = [
 #: a single column byte.
 MAX_FRAME_BYTES = 1 << 30
 
-#: the wire formats a `reports` frame can travel in
-WIRE_FORMATS = ("json", "binary")
-
 _HEADER = struct.Struct("!I")
+
+#: why a JSON ``reports`` frame is refused (the server's error frame and the
+#: router's ``last_rejection`` both carry it)
+JSON_REPORTS_RETIRED = ("JSON reports frames are no longer accepted; send "
+                        "binary reports frames (docs/wire-protocol.md §8)")
 
 
 class FrameError(ValueError):
-    """A malformed frame: bad length prefix, truncation, invalid JSON, or a
-    corrupted/oversized binary payload."""
+    """A malformed frame: bad length prefix, truncation, invalid JSON, a
+    corrupted/oversized binary payload, or a JSON ``reports`` frame."""
 
 
 def encode_frame(message: Dict[str, object]) -> bytes:
@@ -93,37 +92,26 @@ def encode_frame(message: Dict[str, object]) -> bytes:
 
 
 def encode_reports_frame(batch: ReportBatch, epoch: int = 0,
-                         wire_format: str = "json",
-                         encoding: str = "b64",
+                         wire_format: str = "binary",
                          route: Optional[int] = None,
                          seq: Optional[int] = None) -> bytes:
-    """Serialize one ``reports`` frame in the chosen wire format.
+    """Serialize one binary ``reports`` frame.
 
-    ``wire_format="json"`` produces the legacy JSON frame with the given
-    column ``encoding`` (``"b64"`` or ``"json"``); ``"binary"`` produces a
-    binary frame whose announced size is validated against
-    :data:`MAX_FRAME_BYTES` *before* any column is serialized.
+    The announced size is validated against :data:`MAX_FRAME_BYTES`
+    *before* any column is serialized.  ``wire_format`` accepts only
+    ``"binary"``, the one report encoding.
 
-    A non-``None`` ``route`` stamps the shard-routing header onto the frame
-    (JSON: a top-level ``"route"`` key; binary: the ``FLAG_ROUTED`` header
-    field) — a cluster router partitions on it without decoding columns,
-    and a plain :class:`~repro.server.service.AggregationServer` ignores it.
-    A non-``None`` ``seq`` stamps the delivery sequence number (JSON: a
-    top-level ``"seq"`` key; binary: the ``FLAG_SEQUENCED`` header field)
-    used for exact redelivery detection on journal replay (§7.1); normal
-    clients leave it to the router.
+    A non-``None`` ``route`` stamps the shard-routing header
+    (``FLAG_ROUTED``) onto the frame — a cluster router partitions on it
+    without decoding columns, and a plain
+    :class:`~repro.server.service.AggregationServer` ignores it.  A
+    non-``None`` ``seq`` stamps the delivery sequence number
+    (``FLAG_SEQUENCED``) used for exact redelivery detection on journal
+    replay (§7.1); normal clients leave it to the router.
     """
-    if wire_format == "json":
-        message = {"type": "reports", "epoch": int(epoch),
-                   "batch": batch.to_dict(encoding)}
-        if route is not None:
-            message["route"] = int(route)
-        if seq is not None:
-            message["seq"] = int(seq)
-        return encode_frame(message)
     if wire_format != "binary":
-        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, "
-                         f"got {wire_format!r}")
+        raise ValueError(f"reports frames are binary only, got "
+                         f"wire_format={wire_format!r}")
     try:
         payload = encode_reports_payload(batch, epoch,
                                          max_bytes=MAX_FRAME_BYTES,
@@ -149,13 +137,12 @@ def frame_bytes(payload: bytes) -> bytes:
 def decode_frame(payload: bytes) -> Dict[str, object]:
     """Parse a frame payload of either class into one message dictionary.
 
-    JSON payloads must be JSON objects and are returned as-is.  Binary
-    payloads decode to ``{"type": "reports", "epoch": e, "batch": <batch>,
-    "wire_format": "binary"}`` where ``batch`` is a ready
+    JSON payloads must be JSON objects other than ``reports`` and are
+    returned as-is.  Binary payloads decode to ``{"type": "reports",
+    "epoch": e, "batch": <batch>}`` where ``batch`` is a ready
     :class:`~repro.protocol.wire.ReportBatch` whose columns are read-only
     zero-copy views over ``payload``; a routed/sequenced payload also
-    carries its ``"route"`` / ``"seq"`` header fields, mirroring the JSON
-    top-level keys.
+    carries its ``"route"`` / ``"seq"`` header fields.
     """
     if is_binary_payload(payload):
         try:
@@ -164,8 +151,7 @@ def decode_frame(payload: bytes) -> Dict[str, object]:
         except ValueError as exc:  # includes BinaryFormatError
             raise FrameError(f"invalid binary frame: {exc}") from exc
         message: Dict[str, object] = {"type": "reports", "epoch": epoch,
-                                      "batch": batch,
-                                      "wire_format": "binary"}
+                                      "batch": batch}
         if header["route"] is not None:
             message["route"] = header["route"]
         if header["seq"] is not None:
@@ -181,6 +167,8 @@ def decode_frame(payload: bytes) -> Dict[str, object]:
         raise FrameError(f"invalid JSON in frame: {exc}") from exc
     if not isinstance(message, dict):
         raise FrameError("frame payload must be a JSON object")
+    if message.get("type") == "reports":
+        raise FrameError(JSON_REPORTS_RETIRED)
     return message
 
 

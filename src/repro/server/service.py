@@ -10,12 +10,10 @@ protocol of :mod:`repro.server.framing` (``docs/wire-protocol.md`` §7):
   :class:`~repro.protocol.wire.ReportBatch` objects and pushed onto a
   *bounded* queue; a connection that outruns the server suspends inside
   ``queue.put`` and the unread bytes back up the TCP window — natural
-  backpressure, no dropped reports.  Binary ``reports`` frames
-  (``docs/wire-protocol.md`` §8) arrive from the frame layer as
+  backpressure, no dropped reports.  ``reports`` frames are binary
+  (``docs/wire-protocol.md`` §8) and arrive from the frame layer as
   already-decoded batches backed by zero-copy views, so the drain absorbs
-  their columns without ever materializing a dict payload; ``hello``
-  advertises the accepted formats (``wire_formats``) and batches in a
-  disabled format are rejected and accounted like any other bad batch.
+  their columns without ever materializing a dict payload.
 * **Batched drain** — one drain task pops everything queued (up to
   ``drain_reports`` rows), concatenates per epoch, and calls
   ``absorb_batch`` once per epoch — large-batch ingestion is what keeps the
@@ -40,16 +38,11 @@ import asyncio
 import base64
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union, cast
 
 from repro.protocol.binary import pack_state, unpack_state
 from repro.protocol.wire import PublicParams, ReportBatch, child_state
-from repro.server.framing import (
-    WIRE_FORMATS,
-    FrameError,
-    read_frame,
-    write_frame,
-)
+from repro.server.framing import FrameError, read_frame, write_frame
 from repro.server.snapshot import SnapshotStore, read_snapshot
 from repro.server.window import WindowedAggregator
 
@@ -107,16 +100,6 @@ class AggregationServer:
     snapshot_dir:
         Directory for durable snapshots; ``None`` disables the ``snapshot``
         frame (it returns an error).
-    snapshot_format:
-        On-disk snapshot encoding: ``"json"`` (default, human-readable) or
-        ``"binary"`` (the columnar state container of
-        :mod:`repro.protocol.binary`; restore sniffs the format, so either
-        kind of file is a valid restore point).
-    wire_formats:
-        ``reports`` frame formats this server accepts (any non-empty subset
-        of ``("json", "binary")``; default both).  Advertised in the
-        ``hello`` reply; batches arriving in a disabled format are dropped
-        and accounted.
     queue_batches:
         Bound of the ingestion queue, in batches.  Full queue = ingestion
         backpressure on every sending connection.
@@ -127,23 +110,16 @@ class AggregationServer:
 
     def __init__(self, params: PublicParams, *, window: Optional[int] = None,
                  snapshot_dir: Optional[Union[str, Path]] = None,
-                 snapshot_format: str = "json",
-                 wire_formats: Sequence[str] = WIRE_FORMATS,
                  queue_batches: int = 256,
                  drain_reports: int = 1 << 18) -> None:
         if queue_batches < 1:
             raise ValueError("queue_batches must be >= 1")
         if drain_reports < 1:
             raise ValueError("drain_reports must be >= 1")
-        self.wire_formats = tuple(wire_formats)
-        if not self.wire_formats or \
-                any(fmt not in WIRE_FORMATS for fmt in self.wire_formats):
-            raise ValueError(f"wire_formats must be a non-empty subset of "
-                             f"{WIRE_FORMATS}, got {wire_formats!r}")
         self.params = params
         self.windowed = WindowedAggregator(params, window)
         self.stats = ServerStats()
-        self.store = (SnapshotStore(snapshot_dir, format=snapshot_format)
+        self.store = (SnapshotStore(snapshot_dir)
                       if snapshot_dir is not None else None)
         self._queue_batches = queue_batches
         self._drain_reports = drain_reports
@@ -359,33 +335,20 @@ class AggregationServer:
             # answered — an error frame here would occupy the next request's
             # reply slot and desynchronize the connection forever.
             self.stats.batches_received += 1
-            try:
-                payload = frame["batch"]
-                if isinstance(payload, ReportBatch):
-                    # Binary frame: the frame layer already decoded the
-                    # columns as zero-copy views — no dict, no re-parse.
-                    wire_format, batch = "binary", payload
-                else:
-                    wire_format = "json"
-                    batch = ReportBatch.from_dict(dict(payload))
-                if wire_format not in self.wire_formats:
-                    self.stats.reports_rejected += len(batch)
-                    raise ValueError(
-                        f"{wire_format!r} reports frames are disabled on "
-                        f"this server (accepted: {self.wire_formats})")
-                if batch.protocol != self.params.protocol:
-                    self.stats.reports_rejected += len(batch)
-                    raise ValueError(
-                        f"cannot ingest {batch.protocol!r} reports into a "
-                        f"{self.params.protocol!r} server")
-                if self._draining:
-                    # The state already left (or is leaving) wholesale: a
-                    # report absorbed now would miss the handoff and vanish.
-                    self.stats.reports_rejected += len(batch)
-                    raise ValueError("this shard is draining: its state "
-                                     "was handed off")
-            except Exception as exc:  # noqa: BLE001 - accounted in stats
-                self.stats.last_rejection = str(exc)
+            # The frame layer already decoded the columns as zero-copy
+            # views — no dict, no re-parse.
+            batch = cast(ReportBatch, frame["batch"])
+            rejection = ""
+            if batch.protocol != self.params.protocol:
+                rejection = (f"cannot ingest {batch.protocol!r} reports into "
+                             f"a {self.params.protocol!r} server")
+            elif self._draining:
+                # The state already left (or is leaving) wholesale: a
+                # report absorbed now would miss the handoff and vanish.
+                rejection = "this shard is draining: its state was handed off"
+            if rejection:
+                self.stats.reports_rejected += len(batch)
+                self.stats.last_rejection = rejection
                 return True
             seq = frame.get("seq")
             if seq is not None:
@@ -409,8 +372,7 @@ class AggregationServer:
                     "type": "params",
                     "server": SERVER_ID,
                     "params": self.params.to_dict(),
-                    "window": self.windowed.window,
-                    "wire_formats": list(self.wire_formats)})
+                    "window": self.windowed.window})
                 return True
             if kind == "sync":
                 await self._queue.join()

@@ -1,25 +1,17 @@
 """Durable snapshot files for the aggregation service.
 
 A snapshot is the payload of
-:meth:`repro.server.window.WindowedAggregator.snapshot` written to disk in
-one of two encodings:
-
-* ``"json"`` (default) — the payload as one compact JSON document, exactly
-  as before: human-readable, diff-friendly, and integer-exact.
-* ``"binary"`` — the same payload through the columnar state container of
-  :mod:`repro.protocol.binary` (``pack_state``): the large integer
-  accumulator arrays ship as narrowed raw little-endian bytes behind a
-  struct header instead of million-element JSON lists, which makes
-  checkpointing large aggregators several times smaller and faster.
-
-Because every aggregator keeps exact integer state and integers survive
-both encodings exactly, ``restore → absorb more → finalize`` is
-**bit-identical** to a server that never crashed (asserted per protocol in
+:meth:`repro.server.window.WindowedAggregator.snapshot` packed by the
+columnar state container of :mod:`repro.protocol.binary` (``pack_state``):
+the large integer accumulator arrays ship as narrowed raw little-endian
+bytes behind a struct header.  Because every aggregator keeps exact integer
+state, ``restore → absorb more → finalize`` is **bit-identical** to a
+server that never crashed (asserted per protocol in
 ``tests/test_snapshot.py`` and ``tests/test_wire_binary.py``, and
 end-to-end, across a ``SIGKILL``, in ``tests/test_server.py``).
 
-Either encoding is wrapped in a fixed **checksummed container** (normative
-layout in ``docs/wire-protocol.md`` §6.2)::
+The body is wrapped in a fixed **checksummed container** (normative layout
+in ``docs/wire-protocol.md`` §6.2)::
 
     container := snapshot_magic (u32) | crc32 (u32) | length (u32) | body
 
@@ -27,10 +19,13 @@ with all header fields little-endian, ``crc32`` the CRC-32 of ``body``
 (:func:`zlib.crc32`), and ``length`` the body size in bytes.  A restore
 verifies both fields before parsing a single byte of state and raises the
 typed :class:`SnapshotCorruptError` on any mismatch — a flipped bit or a
-short read can never be absorbed as garbage aggregator state.  Headerless
-files written before the container existed still restore through the same
-sniffing path (JSON documents start with ``{``, binary state containers
-with the ``0xB1`` magic), so old restore points stay valid.
+short read can never be absorbed as garbage aggregator state.
+
+Snapshots in a retired format — a ``snapshot-*.json`` file, a JSON body, or
+a headerless file written before the container existed — raise the typed
+:class:`SnapshotFormatError`, naming the file.  That error is never walked
+past: restoring an older file (or an empty state) in its place would
+silently drop the reports it holds.
 
 Files are written atomically: temp file + ``fsync`` of the file **and** of
 its directory entry around ``os.replace``, so a crash (or whole-host power
@@ -45,7 +40,6 @@ or refusing to start.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import struct
@@ -55,15 +49,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.protocol.binary import is_binary_payload, pack_state, unpack_state
 
-__all__ = ["SNAPSHOT_FORMATS", "SNAPSHOT_MAGIC", "SnapshotCorruptError",
+__all__ = ["SNAPSHOT_MAGIC", "SnapshotCorruptError", "SnapshotFormatError",
            "SnapshotStore", "fsync_directory", "read_snapshot",
            "write_snapshot"]
 
-#: supported on-disk snapshot encodings
-SNAPSHOT_FORMATS = ("json", "binary")
-
 #: first four bytes of a checksummed snapshot container — ``b"RSNP"`` on
-#: disk; can never open a legacy file (those start with ``{`` or ``0xB1``)
+#: disk; can never open a headerless file (those start with ``{`` or ``0xB1``)
 SNAPSHOT_MAGIC = 0x504E5352
 
 #: container header: magic (u32) | crc32-of-body (u32) | body length (u32),
@@ -71,7 +62,6 @@ SNAPSHOT_MAGIC = 0x504E5352
 _CONTAINER_HEADER = struct.Struct("<III")
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{6})\.(json|bin)$")
-_SUFFIXES = {"json": ".json", "binary": ".bin"}
 
 
 class SnapshotCorruptError(ValueError):
@@ -80,6 +70,15 @@ class SnapshotCorruptError(ValueError):
 
     Raised *before* any state is absorbed — a corrupted restore is always
     loud, never silent garbage."""
+
+
+class SnapshotFormatError(Exception):
+    """A snapshot file in a retired format: a ``snapshot-*.json`` file, a
+    JSON body, or a headerless file.
+
+    Not a :class:`SnapshotCorruptError`: the file is intact and may hold
+    the newest state, so recovery must stop here instead of falling back
+    to an older snapshot or an empty aggregator."""
 
 
 def fsync_directory(directory: Union[str, Path]) -> None:
@@ -99,25 +98,16 @@ def fsync_directory(directory: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def _encode_body(payload: Dict[str, object], format: str) -> bytes:
-    if format == "binary":
-        return pack_state(payload)
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def write_snapshot(path: Union[str, Path], payload: Dict[str, object],
-                   format: str = "json") -> Path:
+def write_snapshot(path: Union[str, Path],
+                   payload: Dict[str, object]) -> Path:
     """Durably and atomically write one snapshot payload to ``path``.
 
-    The payload body is framed in the checksummed container, the temp file
-    is fsynced before the rename, and the directory entry is fsynced after
-    it — the write is all-or-nothing even across power loss.
+    The packed payload is framed in the checksummed container, the temp
+    file is fsynced before the rename, and the directory entry is fsynced
+    after it — the write is all-or-nothing even across power loss.
     """
-    if format not in SNAPSHOT_FORMATS:
-        raise ValueError(f"snapshot format must be one of {SNAPSHOT_FORMATS}, "
-                         f"got {format!r}")
     path = Path(path)
-    body = _encode_body(payload, format)
+    body = pack_state(payload)
     header = _CONTAINER_HEADER.pack(SNAPSHOT_MAGIC, zlib.crc32(body),
                                     len(body))
     tmp = path.with_name(path.name + ".tmp")
@@ -131,14 +121,16 @@ def write_snapshot(path: Union[str, Path], payload: Dict[str, object],
     return path
 
 
-def _container_body(path: Union[str, Path], raw: bytes) -> bytes:
-    """Verify the container header of ``raw`` and return the body bytes.
+def _retired(path: Union[str, Path], what: str) -> SnapshotFormatError:
+    return SnapshotFormatError(
+        f"{path}: {what} snapshots are a retired format; only binary "
+        f"snapshots restore")
 
-    Headerless (pre-container) files are returned unchanged — their first
-    byte can never equal the container magic's first byte.
-    """
-    if len(raw) < 1 or raw[0] != (SNAPSHOT_MAGIC & 0xFF):
-        return raw
+
+def _container_body(path: Union[str, Path], raw: bytes) -> bytes:
+    """Verify the container header of ``raw`` and return the body bytes."""
+    if raw[:1] == b"{" or is_binary_payload(raw):
+        raise _retired(path, "headerless")
     if len(raw) < _CONTAINER_HEADER.size:
         raise SnapshotCorruptError(f"{path}: truncated snapshot container "
                                    f"header ({len(raw)} bytes)")
@@ -162,18 +154,16 @@ def _container_body(path: Union[str, Path], raw: bytes) -> bytes:
 def read_snapshot(path: Union[str, Path]) -> Dict[str, object]:
     """Read one snapshot payload written by :func:`write_snapshot`.
 
-    The container checksum is verified first; the body encoding is then
-    sniffed from its first byte, so JSON and binary snapshots — and
-    headerless legacy files — restore through the same entry point.  Every
-    integrity failure raises :class:`SnapshotCorruptError`.
+    The container checksum is verified before the body is unpacked.  Every
+    integrity failure raises :class:`SnapshotCorruptError`; a file in a
+    retired format raises :class:`SnapshotFormatError`.
     """
     raw = Path(path).read_bytes()
     body = _container_body(path, raw)
+    if body[:1] == b"{":
+        raise _retired(path, "JSON")
     try:
-        if is_binary_payload(body):
-            payload = unpack_state(body)
-        else:
-            payload = json.loads(body)
+        payload = unpack_state(body)
     except ValueError as exc:
         raise SnapshotCorruptError(f"{path}: unparseable snapshot body: "
                                    f"{exc}") from exc
@@ -186,25 +176,20 @@ def read_snapshot(path: Union[str, Path]) -> Dict[str, object]:
 class SnapshotStore:
     """A directory of numbered snapshots with bounded history.
 
-    ``save`` writes ``snapshot-000001.json`` / ``snapshot-000001.bin``
-    (depending on the configured ``format``) atomically and deletes
+    ``save`` writes ``snapshot-000001.bin`` atomically and deletes
     everything older than the newest ``keep`` files; ``latest`` /
-    ``load_latest`` pick the highest sequence number across both suffixes,
-    which — thanks to the atomic writes — is always a complete payload.
-    ``latest_valid`` additionally verifies checksums, walking past corrupt
-    files to the newest restorable one.
+    ``load_latest`` pick the highest sequence number, which — thanks to the
+    atomic writes — is always a complete payload.  ``latest_valid``
+    additionally verifies checksums, walking past corrupt files to the
+    newest restorable one.  A ``snapshot-*.json`` file anywhere in the
+    directory raises :class:`SnapshotFormatError`.
     """
 
-    def __init__(self, directory: Union[str, Path], keep: int = 3,
-                 format: str = "json") -> None:
+    def __init__(self, directory: Union[str, Path], keep: int = 3) -> None:
         if keep < 1:
             raise ValueError("keep must be >= 1")
-        if format not in SNAPSHOT_FORMATS:
-            raise ValueError(f"snapshot format must be one of "
-                             f"{SNAPSHOT_FORMATS}, got {format!r}")
         self.directory = Path(directory)
         self.keep = keep
-        self.format = format
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def _numbered(self) -> List[Path]:
@@ -213,6 +198,8 @@ class SnapshotStore:
         for path in self.directory.iterdir():
             match = _SNAPSHOT_NAME.match(path.name)
             if match:
+                if match.group(2) == "json":
+                    raise _retired(path, "JSON")
                 entries.append((int(match.group(1)), path))
         return [path for _, path in sorted(entries)]
 
@@ -222,8 +209,8 @@ class SnapshotStore:
         next_seq = 1
         if existing:
             next_seq = int(_SNAPSHOT_NAME.match(existing[-1].name).group(1)) + 1
-        name = f"snapshot-{next_seq:06d}{_SUFFIXES[self.format]}"
-        path = write_snapshot(self.directory / name, payload, self.format)
+        path = write_snapshot(self.directory / f"snapshot-{next_seq:06d}.bin",
+                              payload)
         for stale in self._numbered()[:-self.keep]:
             stale.unlink(missing_ok=True)
         return path
@@ -239,11 +226,13 @@ class SnapshotStore:
         Corrupt or unreadable files are skipped (newest → oldest), so one
         damaged checkpoint degrades recovery to the previous restore point
         instead of poisoning it; returns ``None`` when no file is valid.
+        A file in a retired format stops the walk with
+        :class:`SnapshotFormatError`.
         """
         for path in reversed(self._numbered()):
             try:
                 read_snapshot(path)
-            except (OSError, ValueError):
+            except (OSError, SnapshotCorruptError):
                 continue
             return path
         return None

@@ -45,13 +45,25 @@ def _batch(n=32, seed=0):
     return params.make_encoder().encode_batch(values, gen)
 
 
+def _json_batch(batch):
+    """A batch as the retired JSON ``reports`` frame carried it (b64 columns)."""
+    columns = {}
+    for key, col in batch.columns.items():
+        data = np.ascontiguousarray(col)
+        columns[key] = {"dtype": data.dtype.str,
+                        "shape": [int(s) for s in col.shape],
+                        "data": base64.b64encode(data.tobytes()).decode("ascii")}
+    return {"protocol": batch.protocol, "encoding": "b64",
+            "num_reports": len(batch), "columns": columns}
+
+
 def _cases():
     batch = _batch()
     binary = encode_reports_payload(batch, epoch=3)
     routed = encode_reports_payload(batch, epoch=3, route=4096)
     sequenced = stamp_sequence(routed, 17)
     json_reports = json.dumps(
-        {"type": "reports", "epoch": 3, "batch": batch.to_dict("b64")},
+        {"type": "reports", "epoch": 3, "batch": _json_batch(batch)},
         separators=(",", ":")).encode("utf-8")
     empty = encode_reports_payload(_batch(n=0, seed=1))
 
@@ -59,13 +71,6 @@ def _cases():
         # ----- accepted frames --------------------------------------------------------
         ("json-control-hello", b'{"type":"hello"}', "accept",
          "minimal JSON control frame"),
-        ("json-reports-b64", json_reports, "accept",
-         "canonical JSON reports frame"),
-        ("json-reports-seq", json.dumps(
-            {"type": "reports", "epoch": 0, "seq": 5,
-             "batch": batch.to_dict("b64")},
-            separators=(",", ":")).encode("utf-8"), "accept",
-         "JSON reports frame with a delivery sequence number"),
         ("binary-plain", binary, "accept",
          "canonical binary reports payload"),
         ("binary-routed", routed, "accept",
@@ -75,6 +80,14 @@ def _cases():
         ("binary-empty-batch", empty, "accept",
          "zero-report binary payload round-trips"),
         # ----- rejected frames --------------------------------------------------------
+        ("json-reports-b64", json_reports, "reject",
+         "JSON reports frames are retired: reports travel only as binary "
+         "frames"),
+        ("json-reports-seq", json.dumps(
+            {"type": "reports", "epoch": 0, "seq": 5,
+             "batch": _json_batch(batch)},
+            separators=(",", ":")).encode("utf-8"), "reject",
+         "retired JSON reports frame with a delivery sequence number"),
         ("json-invalid-syntax", b"{nope", "reject",
          "malformed JSON must raise FrameError"),
         ("json-non-object", b"[1,2,3]", "reject",

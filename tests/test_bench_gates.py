@@ -3,9 +3,9 @@
 CI runs ``benchmarks/bench_server_ingest.py --check BENCH_server.json
 --baseline BENCH_baseline.json --engine BENCH_engine.json``; these tests
 pin down the gate logic itself — a payload matching baseline passes, a
-payload whose binary ingest throughput collapsed (or whose wire shrink
-regressed below 3×) fails — and run the actual ``--check`` entry point
-against a doctored file, exactly as the CI self-test step does.
+payload whose server ingest throughput collapsed fails — and run the
+actual ``--check`` entry point against a doctored file, exactly as the CI
+self-test step does.
 """
 
 import json
@@ -19,25 +19,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from bench_server_ingest import (  # noqa: E402 - path set up above
     check_engine_regression,
     check_throughput_regression,
-    check_wire_shrink,
     main,
 )
 
 BASELINE = {
     "baseline": "bench-regression-baseline",
     "max_drop": 0.40,
-    "server": {"hashtogram": {"binary": 20_000_000, "json": 5_000_000}},
+    "server": {"hashtogram": 20_000_000},
     "engine": {"hashtogram": 4_000_000},
 }
 
 
-def _server_payload(binary_rate=20_000_000, json_rate=5_000_000,
-                    binary_mb=4.0, json_mb=22.0):
+def _server_payload(rate=20_000_000):
     return {"results": [
-        {"protocol": "hashtogram", "wire_format": "json",
-         "reports_per_s": json_rate, "wire_mb": json_mb},
-        {"protocol": "hashtogram", "wire_format": "binary",
-         "reports_per_s": binary_rate, "wire_mb": binary_mb},
+        {"protocol": "hashtogram", "reports_per_s": rate, "wire_mb": 4.0},
     ]}
 
 
@@ -51,28 +46,29 @@ class TestThroughputGate:
         assert check_throughput_regression(_server_payload(), BASELINE) == []
 
     def test_faster_host_passes(self):
-        payload = _server_payload(binary_rate=60_000_000)
+        payload = _server_payload(rate=60_000_000)
         assert check_throughput_regression(payload, BASELINE) == []
 
     def test_drop_within_margin_passes(self):
-        payload = _server_payload(binary_rate=13_000_000)  # -35%
+        payload = _server_payload(rate=13_000_000)  # -35%
         assert check_throughput_regression(payload, BASELINE) == []
 
     def test_drop_beyond_margin_fails(self):
-        payload = _server_payload(binary_rate=10_000_000)  # -50%
+        payload = _server_payload(rate=10_000_000)  # -50%
         failures = check_throughput_regression(payload, BASELINE)
         assert len(failures) == 1
-        assert "hashtogram/binary" in failures[0]
+        assert "server/hashtogram" in failures[0]
         assert "regressed" in failures[0]
 
     def test_missing_measured_row_fails(self):
-        payload = {"results": [_server_payload()["results"][0]]}  # json only
+        payload = {"results": [dict(_server_payload()["results"][0],
+                                    protocol="explicit")]}
         failures = check_throughput_regression(payload, BASELINE)
         assert any("no measured row" in f for f in failures)
 
     def test_baseline_max_drop_is_honored(self):
         tight = dict(BASELINE, max_drop=0.10)
-        payload = _server_payload(binary_rate=17_000_000)  # -15%
+        payload = _server_payload(rate=17_000_000)  # -15%
         assert check_throughput_regression(payload, BASELINE) == []
         assert check_throughput_regression(payload, tight) != []
 
@@ -95,16 +91,6 @@ class TestEngineGate:
         assert any("no measured 1-worker row" in f for f in failures)
 
 
-class TestWireShrinkGate:
-    def test_healthy_shrink_passes(self):
-        assert check_wire_shrink(_server_payload()) == []
-
-    def test_regressed_shrink_fails(self):
-        payload = _server_payload(binary_mb=10.0, json_mb=22.0)  # 2.2x
-        failures = check_wire_shrink(payload)
-        assert any("smaller" in f for f in failures)
-
-
 class TestCheckEntryPoint:
     """The CI invocation end to end, including the doctored-file self-test."""
 
@@ -118,15 +104,14 @@ class TestCheckEntryPoint:
         baseline = json.loads(committed_baseline.read_text())
         assert baseline["baseline"] == "bench-regression-baseline"
         assert 0.0 < float(baseline["max_drop"]) < 1.0
-        assert "hashtogram" in baseline["server"]
-        assert "binary" in baseline["server"]["hashtogram"]
+        assert float(baseline["server"]["hashtogram"]) > 0
         assert "hashtogram" in baseline["engine"]
 
     def test_doctored_payload_fails_check(self, tmp_path, committed_baseline,
                                           capsys):
         baseline = json.loads(committed_baseline.read_text())
-        reference = float(baseline["server"]["hashtogram"]["binary"])
-        doctored = _server_payload(binary_rate=int(reference * 0.1))
+        reference = float(baseline["server"]["hashtogram"])
+        doctored = _server_payload(rate=int(reference * 0.1))
         path = tmp_path / "BENCH_doctored.json"
         path.write_text(json.dumps(doctored))
         code = main(["--check", str(path),
@@ -137,8 +122,7 @@ class TestCheckEntryPoint:
     def test_healthy_payload_passes_check(self, tmp_path, committed_baseline):
         baseline = json.loads(committed_baseline.read_text())
         healthy = _server_payload(
-            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])),
-            json_rate=int(float(baseline["server"]["hashtogram"]["json"])))
+            rate=int(float(baseline["server"]["hashtogram"])))
         path = tmp_path / "BENCH_healthy.json"
         path.write_text(json.dumps(healthy))
         assert main(["--check", str(path),

@@ -45,6 +45,7 @@ from repro.server import (
     ServerError,
     ShardUnavailable,
     decode_frame,
+    write_frame_sync,
 )
 from repro.server.framing import encode_reports_frame
 from repro.server.window import WindowedAggregator
@@ -133,16 +134,15 @@ class TestRoutedFrames:
         with pytest.raises(BinaryFormatError, match="unknown header flags"):
             peek_reports_header(bytes(payload))
 
-    def test_json_route_field(self):
+    def test_frame_layer_route_field(self):
         _, batch = _small_batch()
-        frame = encode_reports_frame(batch, epoch=3, wire_format="json",
-                                     route=11)
+        frame = encode_reports_frame(batch, epoch=3, route=11)
         message = decode_frame(frame[4:])
         assert message["type"] == "reports"
         assert message["route"] == 11
         assert message["epoch"] == 3
 
-    def test_json_frame_omits_route_by_default(self):
+    def test_reports_frame_omits_route_by_default(self):
         _, batch = _small_batch()
         message = decode_frame(encode_reports_frame(batch)[4:])
         assert "route" not in message
@@ -275,8 +275,7 @@ class TestClusterBitIdentity:
         batches, routes = _routed_stream(params, values, plan_seed, 128)
         queries = list(range(40))
         with running_cluster(params, 3, tmp_path) as (_, router, host, port):
-            with AggregationClient(host, port,
-                                   wire_format="binary") as client:
+            with AggregationClient(host, port) as client:
                 client.hello()
                 for batch, route in zip(batches, routes, strict=True):
                     client.send_batch(batch, route=route)
@@ -343,6 +342,22 @@ class TestClusterBitIdentity:
                 stats = client.stats()
         assert stats["router"]["frames_rejected"] == 1
         assert other.protocol in stats["router"]["last_rejection"]
+
+    def test_json_reports_frame_rejected(self, tmp_path):
+        params, batch = _small_batch()
+        with running_cluster(params, 2, tmp_path) as (_, router, host, port):
+            with AggregationClient(host, port) as client:
+                write_frame_sync(client._stream, {
+                    "type": "reports", "epoch": 0, "route": 0,
+                    "batch": {"protocol": params.protocol, "columns": {}}})
+                # fire-and-forget like every reports frame: the connection
+                # stays usable and binary frames still land
+                client.send_batch(batch, route=0)
+                assert client.sync() == len(batch)
+                stats = client.stats()
+        assert stats["router"]["frames_rejected"] == 1
+        assert stats["router"]["frames_forwarded"] == 1
+        assert "JSON reports frames" in stats["router"]["last_rejection"]
 
 
 # --------------------------------------------------------------------------------------

@@ -26,7 +26,11 @@ import pytest
 
 import repro
 from repro.engine import encode_stream, run_simulation
-from repro.protocol import ExplicitHistogramParams, HashtogramParams
+from repro.protocol import (
+    ExplicitHistogramParams,
+    HashtogramParams,
+    ReportBatch,
+)
 from repro.server import (
     AggregationClient,
     AggregationServer,
@@ -144,57 +148,48 @@ class TestServerEndToEnd:
                 served = client.query(queries)
         assert np.array_equal(served, offline.estimate_many(queries))
 
-    def test_json_and_b64_batch_encodings_agree(self):
-        params = ExplicitHistogramParams(64, 1.0, "krr")
-        values = np.random.default_rng(0).integers(0, 64, size=2_000)
-        batch = params.make_encoder().encode_batch(values,
-                                                   np.random.default_rng(1))
-        queries = list(range(64))
-        results = {}
-        for encoding in ("b64", "json"):
-            with running_server(params) as (_, host, port):
-                with AggregationClient(host, port) as client:
-                    client.send_batch(batch, encoding=encoding)
-                    client.sync()
-                    results[encoding] = client.query(queries)
-        assert np.array_equal(results["b64"], results["json"])
-
-    def test_binary_wire_format_bit_identical_to_json(self):
+    def test_binary_frames_bit_identical_to_in_process_aggregate(self):
         params = _small_params()
         values = np.random.default_rng(21).integers(0, 1 << 10, size=6_000)
         batches = list(encode_stream(params, values,
                                      rng=np.random.default_rng(22)))
         queries = list(range(128))
-        results = {}
-        for wire_format in ("json", "binary"):
-            with running_server(params) as (_, host, port):
-                with AggregationClient(host, port,
-                                       wire_format=wire_format) as client:
-                    assert client.hello() == params  # negotiates the format
-                    assert "binary" in client.server_wire_formats
-                    for batch in batches:
-                        client.send_batch(batch)
-                    assert client.sync() == values.size
-                    results[wire_format] = client.query(queries)
-        assert np.array_equal(results["binary"], results["json"])
+        reference = params.make_aggregator()
+        for batch in batches:
+            reference.absorb_batch(batch)
+        with running_server(params) as (_, host, port):
+            with AggregationClient(host, port) as client:
+                assert client.hello() == params
+                for batch in batches:
+                    client.send_batch(batch)
+                assert client.sync() == values.size
+                served = client.query(queries)
+        expected = reference.finalize().estimate_many(queries)
+        assert np.array_equal(served, expected)
 
-    def test_binary_frames_rejected_when_disabled(self):
+    def test_json_reports_frame_answered_with_error(self):
+        params = _small_params()
+        with running_server(params) as (server, host, port):
+            with AggregationClient(host, port) as client:
+                write_frame_sync(client._stream, {
+                    "type": "reports", "epoch": 0,
+                    "batch": {"protocol": params.protocol, "columns": {}}})
+                reply = read_frame_sync(client._stream)
+                assert reply["type"] == "error"
+                assert "JSON reports frames" in reply["error"]
+                # the server closes the connection after a frame error
+                assert read_frame_sync(client._stream) is None
+            assert server.stats.batches_received == 0
+
+    def test_client_accepts_only_binary_reports(self):
         params = _small_params()
         batch = params.make_encoder().encode_batch(
             [1, 2, 3], np.random.default_rng(0))
-        with running_server(params, wire_formats=("json",)) as (_, host, port):
-            with AggregationClient(host, port,
-                                   wire_format="binary") as client:
-                with pytest.raises(ServerError, match="does not accept"):
-                    client.hello()  # negotiation fails up front
-                client.send_batch(batch)  # forced anyway: dropped + accounted
-                assert client.sync() == 0
-                stats = client.stats()
-                assert stats["reports_rejected"] == len(batch)
-                assert "disabled" in stats["last_rejection"]
-                # json frames on the same connection still land
-                client.send_batch(batch, wire_format="json")
-                assert client.sync() == len(batch)
+        with pytest.raises(ValueError, match="binary only"):
+            encode_reports_frame(batch, 0, "json")
+        # refused before the client dials anything
+        with pytest.raises(ValueError, match="binary only"):
+            AggregationClient("127.0.0.1", 1, wire_format="json")
 
     def test_windowed_queries_over_epochs(self):
         params = ExplicitHistogramParams(32, 1.0, "krr")
@@ -321,13 +316,9 @@ class TestServerEndToEnd:
         params = _small_params()
         with running_server(params) as (_, host, port):
             with AggregationClient(host, port) as client:
-                write_frame_sync(client._stream, {
-                    "type": "reports", "epoch": 0,
-                    "batch": {"protocol": params.protocol,
-                              "encoding": "json", "num_reports": 2,
-                              "columns": {"bogus": {"dtype": "<i8",
-                                                    "shape": [2],
-                                                    "data": [1, 2]}}}})
+                bogus = ReportBatch(params.protocol,
+                                    {"bogus": np.array([1, 2])})
+                client.send_batch(bogus)
                 assert client.sync() == 0
                 stats = client.stats()
                 assert stats["reports_rejected"] == 2
@@ -402,12 +393,6 @@ class TestServerEndToEnd:
         # epoch 0 is 50 epochs old: a last-24-epochs query must exclude it.
         assert reply["epochs"] == [50]
         assert reply["num_reports"] == len(batch)
-
-    def test_unknown_batch_encoding_rejected(self):
-        from repro.protocol import ReportBatch
-        with pytest.raises(ValueError, match="unknown batch encoding"):
-            ReportBatch.from_dict({"protocol": "x", "encoding": "base64",
-                                   "num_reports": 0, "columns": {}})
 
     def test_snapshot_without_store_errors(self):
         with running_server(_small_params()) as (_, host, port):
@@ -593,18 +578,16 @@ class TestAsyncSafetyRegressions:
 class TestSequencingAndHealth:
     """Spec §7.1: a not-larger ``seq`` is an exact redelivery — drop it."""
 
-    def _stamped(self, params, seed, seq, wire_format):
+    def _stamped(self, params, seed, seq):
         values = np.random.default_rng(seed).integers(0, 1 << 10, size=1_200)
         batch = params.make_encoder().encode_batch(values,
                                                    np.random.default_rng(seed))
-        return batch, encode_reports_frame(batch, wire_format=wire_format,
-                                           seq=seq)
+        return batch, encode_reports_frame(batch, seq=seq)
 
-    @pytest.mark.parametrize("wire_format", ["json", "binary"])
-    def test_sequenced_redelivery_dropped_exactly(self, wire_format):
+    def test_sequenced_redelivery_dropped_exactly(self):
         params = _small_params()
-        batch1, frame1 = self._stamped(params, 3, 1, wire_format)
-        batch2, frame2 = self._stamped(params, 4, 2, wire_format)
+        batch1, frame1 = self._stamped(params, 3, 1)
+        batch2, frame2 = self._stamped(params, 4, 2)
         queries = list(range(64))
         expected = (params.make_aggregator().absorb_batch(batch1)
                     .absorb_batch(batch2).finalize().estimate_many(queries))
@@ -624,7 +607,7 @@ class TestSequencingAndHealth:
     def test_unsequenced_frames_never_deduped(self):
         # Plain clients don't stamp seq; identical frames must all absorb.
         params = _small_params()
-        batch, _ = self._stamped(params, 5, 1, "json")
+        batch, _ = self._stamped(params, 5, 1)
         frame = encode_reports_frame(batch)  # no seq field
         with running_server(params) as (_, host, port):
             with AggregationClient(host, port) as client:
@@ -635,7 +618,7 @@ class TestSequencingAndHealth:
 
     def test_health_probe_reports_watermark(self):
         params = _small_params()
-        batch, frame = self._stamped(params, 6, 7, "binary")
+        batch, frame = self._stamped(params, 6, 7)
         with running_server(params) as (_, host, port):
             with AggregationClient(host, port) as client:
                 reply = client.health()

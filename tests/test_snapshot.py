@@ -24,9 +24,11 @@ from repro.protocol import (
     RapporParams,
     ServerAggregator,
 )
+from repro.protocol.binary import pack_state
 from repro.server.snapshot import (
     SNAPSHOT_MAGIC,
     SnapshotCorruptError,
+    SnapshotFormatError,
     SnapshotStore,
     read_snapshot,
     write_snapshot,
@@ -233,7 +235,7 @@ class TestChecksummedContainer:
         import struct
         import zlib
 
-        path = write_snapshot(tmp_path / "snap.json", self._payload())
+        path = write_snapshot(tmp_path / "snap.bin", self._payload())
         raw = path.read_bytes()
         magic, crc, length = struct.unpack_from("<III", raw, 0)
         body = raw[12:]
@@ -241,22 +243,21 @@ class TestChecksummedContainer:
         assert length == len(body)
         assert crc == zlib.crc32(body)
 
-    @pytest.mark.parametrize("format", ["json", "binary"])
-    def test_round_trip_both_encodings(self, tmp_path, format):
+    def test_round_trip(self, tmp_path):
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
         values = np.random.default_rng(0).integers(0, DOMAIN, size=1000)
         batch = params.make_encoder().encode_batch(values,
                                                    np.random.default_rng(1))
         windowed = WindowedAggregator(params)
         windowed.absorb_batch(batch, epoch=0)
-        path = write_snapshot(tmp_path / "snap", windowed.snapshot(), format)
+        path = write_snapshot(tmp_path / "snap", windowed.snapshot())
         restored = WindowedAggregator.from_snapshot(read_snapshot(path))
         queries = np.arange(256)
         assert np.array_equal(restored.finalize().estimate_many(queries),
                               windowed.finalize().estimate_many(queries))
 
     def test_flipped_body_byte_is_loud(self, tmp_path):
-        path = write_snapshot(tmp_path / "snap.json", self._payload())
+        path = write_snapshot(tmp_path / "snap.bin", self._payload())
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -264,14 +265,14 @@ class TestChecksummedContainer:
             read_snapshot(path)
 
     def test_truncated_body_is_loud(self, tmp_path):
-        path = write_snapshot(tmp_path / "snap.json", self._payload())
+        path = write_snapshot(tmp_path / "snap.bin", self._payload())
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(SnapshotCorruptError, match="announces"):
             read_snapshot(path)
 
     def test_truncated_header_is_loud(self, tmp_path):
-        path = write_snapshot(tmp_path / "snap.json", self._payload())
+        path = write_snapshot(tmp_path / "snap.bin", self._payload())
         path.write_bytes(path.read_bytes()[:7])
         with pytest.raises(SnapshotCorruptError, match="truncated"):
             read_snapshot(path)
@@ -280,25 +281,23 @@ class TestChecksummedContainer:
         # one except clause catches both on every restore path
         assert issubclass(SnapshotCorruptError, ValueError)
 
-    def test_legacy_headerless_json_still_restores(self, tmp_path):
-        # files written before the container existed start with '{' — they
-        # must keep restoring through the same entry point
-        import json as json_mod
-
-        path = tmp_path / "legacy.json"
-        path.write_text(json_mod.dumps(self._payload()))
-        assert read_snapshot(path) == self._payload()
-
-    def test_write_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="snapshot format"):
-            write_snapshot(tmp_path / "snap", {}, format="yaml")
+    def test_headerless_file_is_refused(self, tmp_path):
+        # files written before the container existed start with '{' (JSON)
+        # or 0xB1 (a bare state container): a retired format, never
+        # mistaken for a corrupt file that recovery may walk past
+        for name, raw in (("legacy-json", json.dumps(self._payload()).encode()),
+                          ("legacy-bin", pack_state(self._payload()))):
+            path = tmp_path / name
+            path.write_bytes(raw)
+            with pytest.raises(SnapshotFormatError, match=name):
+                read_snapshot(path)
 
 
 class TestSnapshotStore:
     def test_atomic_write_and_read(self, tmp_path):
-        path = write_snapshot(tmp_path / "snap.json", {"a": [1, 2, 3]})
-        assert read_snapshot(path) == {"a": [1, 2, 3]}
-        assert not (tmp_path / "snap.json.tmp").exists()
+        path = write_snapshot(tmp_path / "snap.bin", {"a": [1, 2, 3]})
+        assert np.array_equal(read_snapshot(path)["a"], [1, 2, 3])
+        assert not (tmp_path / "snap.bin.tmp").exists()
 
     def test_latest_valid_walks_past_corruption(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=4)
@@ -328,12 +327,64 @@ class TestSnapshotStore:
     def test_sequence_numbers_and_pruning(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=2)
         paths = [store.save({"seq": i}) for i in range(4)]
-        assert paths[-1].name == "snapshot-000004.json"
+        assert paths[-1].name == "snapshot-000004.bin"
         remaining = sorted(p.name for p in tmp_path.iterdir())
-        assert remaining == ["snapshot-000003.json", "snapshot-000004.json"]
+        assert remaining == ["snapshot-000003.bin", "snapshot-000004.bin"]
         assert store.load_latest() == {"seq": 3}
 
     def test_empty_store(self, tmp_path):
         store = SnapshotStore(tmp_path)
         assert store.latest() is None
         assert store.load_latest() is None
+
+
+def _json_container(payload) -> bytes:
+    """A snapshot as the JSON encoding wrote it: container + JSON body."""
+    import struct
+    import zlib
+
+    body = (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+    return struct.pack("<III", SNAPSHOT_MAGIC, zlib.crc32(body),
+                       len(body)) + body
+
+
+class TestRetiredFormats:
+    """JSON and headerless snapshots fail loudly with a typed error naming
+    the file, and recovery never walks past them to older state."""
+
+    def test_json_body_is_refused(self, tmp_path):
+        path = tmp_path / "snapshot-000001.bin"
+        path.write_bytes(_json_container({"seq": 0}))
+        with pytest.raises(SnapshotFormatError, match=str(path)):
+            read_snapshot(path)
+
+    def test_format_error_is_not_a_corrupt_error(self):
+        # latest_valid walks past corrupt files; it must stop at this one
+        assert not issubclass(SnapshotFormatError, SnapshotCorruptError)
+
+    def _shard_dir_with_newer_json(self, shard_dir):
+        store = SnapshotStore(shard_dir)
+        store.save({"seq": 0})
+        newer = shard_dir / "snapshot-000002.json"
+        newer.write_bytes(_json_container({"seq": 1}))
+        return store, newer
+
+    def test_store_refuses_newer_json_file(self, tmp_path):
+        store, newer = self._shard_dir_with_newer_json(tmp_path)
+        with pytest.raises(SnapshotFormatError, match=newer.name):
+            store.load_latest_valid()
+        with pytest.raises(SnapshotFormatError, match=newer.name):
+            store.latest_valid()
+
+    def test_supervisor_restore_refuses_newer_json_file(self, tmp_path):
+        from repro.cluster import ClusterSupervisor
+
+        params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
+        _, newer = self._shard_dir_with_newer_json(tmp_path / "shard-0")
+        supervisor = ClusterSupervisor(params, 1, tmp_path)
+        try:
+            with pytest.raises(SnapshotFormatError, match=newer.name):
+                supervisor.start()
+            assert not supervisor.shards  # no shard was spawned
+        finally:
+            supervisor.stop()

@@ -1,17 +1,17 @@
-"""Cross-format equivalence of the binary columnar wire codec.
+"""Equivalence of the binary columnar wire codec with in-memory batches.
 
-The contract under test (``docs/wire-protocol.md`` §3.1 and §8): for every
-registered protocol, a batch encoded as ``json`` columns, ``b64`` columns,
-or a binary frame decodes to the same reports, absorbs to the same exact
-integer state, and finalizes to the same estimates — bit for bit.  Also
+The contract under test (``docs/wire-protocol.md`` §8): for every
+registered protocol, a batch sent through a binary frame decodes to the
+same reports, absorbs to the same exact integer state, and finalizes to the
+same estimates as the in-memory batch it was encoded from — bit for bit.  Also
 covered: byte-level binary round trips, the oversized-frame error path on
 both the write and the read side, truncated/corrupted-frame fuzzing, the
 binary snapshot container, and the engine's binary worker-result channel.
 """
 
 import io
-import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -47,6 +47,7 @@ from repro.server import (
 )
 from repro.server.snapshot import (
     SNAPSHOT_MAGIC,
+    SnapshotFormatError,
     read_snapshot,
     write_snapshot,
 )
@@ -85,16 +86,13 @@ def _batch(params, n=1_500):
 
 
 class TestCrossFormatMatrix:
-    """json columns == b64 columns == binary frame, end to end."""
+    """in-memory batch == binary frame, end to end."""
 
     @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
     def test_all_formats_round_trip_and_absorb_identically(self, name, params):
         batch = _batch(params)
         decoded = {
-            "json": ReportBatch.from_dict(
-                json.loads(json.dumps(batch.to_dict("json")))),
-            "b64": ReportBatch.from_dict(
-                json.loads(json.dumps(batch.to_dict("b64")))),
+            "memory": batch,
             "binary": decode_reports_payload(
                 encode_reports_payload(batch, epoch=0))[1],
         }
@@ -107,7 +105,7 @@ class TestCrossFormatMatrix:
             aggregator = params.make_aggregator().absorb_batch(copy)
             snapshots[fmt] = aggregator.snapshot()
         # identical exact integer state across every wire form
-        assert snapshots["json"] == snapshots["b64"] == snapshots["binary"]
+        assert snapshots["memory"] == snapshots["binary"]
 
     @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
     def test_binary_round_trip_is_byte_identical(self, name, params):
@@ -126,13 +124,12 @@ class TestCrossFormatMatrix:
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
         batch = _batch(params)
         queries = np.arange(256)
-        via_json = params.make_aggregator().absorb_batch(
-            ReportBatch.from_dict(batch.to_dict("b64"))
-        ).finalize().estimate_many(queries)
+        in_memory = params.make_aggregator().absorb_batch(
+            batch).finalize().estimate_many(queries)
         via_binary = params.make_aggregator().absorb_batch(
             decode_reports_payload(encode_reports_payload(batch))[1]
         ).finalize().estimate_many(queries)
-        assert np.array_equal(via_json, via_binary)
+        assert np.array_equal(in_memory, via_binary)
 
     def test_empty_batch_round_trips(self):
         params = ExplicitHistogramParams(64, 1.0, "krr")
@@ -215,7 +212,7 @@ class TestBinaryErrorPaths:
         framing.MAX_FRAME_BYTES = 64
         try:
             with pytest.raises(FrameError, match="limit"):
-                encode_reports_frame(batch, wire_format="binary")
+                encode_reports_frame(batch)
         finally:
             framing.MAX_FRAME_BYTES = original
 
@@ -306,35 +303,34 @@ class TestStateContainer:
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
         windowed = WindowedAggregator(params, window=4)
         windowed.absorb_batch(_batch(params), epoch=2)
-        payload = windowed.snapshot()
-        json_path = write_snapshot(tmp_path / "snap.json", payload, "json")
-        bin_path = write_snapshot(tmp_path / "snap.bin", payload, "binary")
-        # Both files wear the checksummed snapshot container; the *body* of
-        # the binary one is a BINARY_MAGIC state container (that first byte
-        # is what read_snapshot sniffs the encoding from).
-        raw = (tmp_path / "snap.bin").read_bytes()
+        path = write_snapshot(tmp_path / "snap.bin", windowed.snapshot())
+        # The checksummed snapshot container wraps a BINARY_MAGIC state
+        # container; read_snapshot sniffs that first body byte and refuses
+        # any other body (the retired JSON snapshot encoding).
+        raw = path.read_bytes()
         assert raw[0] == SNAPSHOT_MAGIC & 0xFF
         assert raw[12] == BINARY_MAGIC
         queries = np.arange(128)
-        expected = windowed.finalize().estimate_many(queries)
-        for path in (json_path, bin_path):
-            restored = WindowedAggregator.from_snapshot(read_snapshot(path))
-            assert restored.window == 4 and restored.epochs == [2]
-            assert np.array_equal(restored.finalize().estimate_many(queries),
-                                  expected)
+        restored = WindowedAggregator.from_snapshot(read_snapshot(path))
+        assert restored.window == 4 and restored.epochs == [2]
+        assert np.array_equal(restored.finalize().estimate_many(queries),
+                              windowed.finalize().estimate_many(queries))
+        body = b'{"format":"repro-windowed-snapshot"}'
+        json_path = tmp_path / "snap-json.bin"
+        json_path.write_bytes(raw[:4] + struct.pack("<II", zlib.crc32(body),
+                                                    len(body)) + body)
+        with pytest.raises(SnapshotFormatError, match="snap-json.bin"):
+            read_snapshot(json_path)
 
     def test_snapshot_store_binary_format(self, tmp_path):
         params = ExplicitHistogramParams(64, 1.0, "krr")
         windowed = WindowedAggregator(params)
         windowed.absorb_batch(_batch(params))
-        store = SnapshotStore(tmp_path, keep=2, format="binary")
+        store = SnapshotStore(tmp_path, keep=2)
         path = store.save(windowed.snapshot())
         assert path.name == "snapshot-000001.bin"
         restored = WindowedAggregator.from_snapshot(store.load_latest())
         assert restored.num_reports == windowed.num_reports
-        # binary and json stores interleave; latest() spans both suffixes
-        SnapshotStore(tmp_path, keep=2, format="json").save(windowed.snapshot())
-        assert store.latest().name == "snapshot-000002.json"
 
     def test_binary_restore_then_absorb_more(self):
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
@@ -351,21 +347,16 @@ class TestStateContainer:
 
 
 class TestEngineResultChannel:
-    def test_binary_channel_matches_pickle_channel(self):
+    def test_binary_channel_matches_in_process_run(self):
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
         values = np.random.default_rng(1).integers(0, DOMAIN, size=6_000)
         queries = np.arange(256)
         estimates = {}
-        for result_format in ("binary", "pickle"):
+        # one worker runs in-process; two ship packed state blobs back
+        for workers in (1, 2):
             result = run_simulation(params, values,
-                                    rng=np.random.default_rng(2), workers=2,
-                                    chunk_size=1_500,
-                                    result_format=result_format)
+                                    rng=np.random.default_rng(2),
+                                    workers=workers, chunk_size=1_500)
             assert result.num_users == values.size
-            estimates[result_format] = result.finalize().estimate_many(queries)
-        assert np.array_equal(estimates["binary"], estimates["pickle"])
-
-    def test_unknown_result_format_rejected(self):
-        params = ExplicitHistogramParams(16, 1.0)
-        with pytest.raises(ValueError, match="result_format"):
-            run_simulation(params, [1, 2, 3], result_format="msgpack")
+            estimates[workers] = result.finalize().estimate_many(queries)
+        assert np.array_equal(estimates[1], estimates[2])
